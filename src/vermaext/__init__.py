@@ -19,6 +19,7 @@ from .extbounds import (
     ExtGrid,
     TriangleRegion,
     all_expected_predicate,
+    expected_bipoly,
     expected_dims,
     hom_grid,
     kl_bound_poly,
@@ -73,6 +74,7 @@ __all__ = [
     "build_system",
     "class_r_constancy",
     "equiv_classes",
+    "expected_bipoly",
     "expected_dims",
     "hom_grid",
     "kl_bound_poly",

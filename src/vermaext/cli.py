@@ -16,20 +16,20 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 from . import refdata
-from .coxeter import CoxeterSystem, build_system, DEFAULT_CAP
+from .coxeter import CoxeterSystem, build_system, canonical_label, DEFAULT_CAP
 from .extbounds import (
-    expected_dims,
+    all_expected_predicate,
+    expected_bipoly,
     hom_grid,
     kl_bound_poly,
-    r_determined,
     triangle_region,
 )
 from .hecke import KLTable
 from .intervals import equiv_classes
-from .poly import BiPoly, LaurentPoly
+from .poly import LaurentPoly
 from .rpoly import ParabolicRTable, RTable
 from .typea import predict_ext1
 from .verify import SUITES, run_suite
@@ -103,68 +103,70 @@ def _poly_out(args, poly) -> str:
 # -- table emission ------------------------------------------------------------
 
 
-def emit_table(kind: str, system: CoxeterSystem, fmt: str, kl=None, rt=None) -> str:
-    """Full matrix over W x W: kind 'rpoly' (R-polynomials) or 'expected'
-    (expected-dimension generating polynomials in u, v).  Text output mirrors
-    the reference layout: rows are the first index x, columns the second
-    index y, both sorted by (length, index).
+def emit_table(kind: str, system: CoxeterSystem, fmt: str, rt=None, J: str = "") -> str:
+    """Full table of one kind, both indices sorted by (length, index):
+    'rpoly' (R-polynomials) or 'expected' (expected-dimension generating
+    polynomials in u, v) over W x W, 'singular' or 'parabolic' over the
+    minimal coset representatives for the generators J.  Text output of the
+    W x W kinds mirrors the reference layout (rows are the first index x,
+    columns the second index y); the coset kinds list 'x , y : p' per
+    nonzero cell.  Tables with more than TABLE_EMIT_CAP rows are refused.
     """
-    if system.order > TABLE_EMIT_CAP:
-        raise ValueError(
-            "full-table emission capped at order %d (got %d)"
-            % (TABLE_EMIT_CAP, system.order)
-        )
     rt = rt or RTable(system)
-    order = sorted(range(system.order), key=lambda w: (system.lengths[w], w))
-
-    def cell(x, y):
-        if kind == "rpoly":
-            return rt.r_poly(x, y)
-        if not system.bruhat_leq(y, x):
-            return None
-        d = system.lengths[x] - system.lengths[y]
-        grid = expected_dims(rt, x, y)
-        return BiPoly({(d - a, a): v for (a, b), v in grid.cells.items()})
-
+    if kind in ("singular", "parabolic"):
+        table = ParabolicRTable(rt, system.parabolic(_parse_J(system, J)), kind)
+        index, cell, meta = table.reps, table.poly, {"J": J}
+        rows_of = "coset representatives"
+    else:
+        index = range(system.order)
+        cell = rt.r_poly if kind == "rpoly" else partial(expected_bipoly, rt)
+        meta, rows_of = {"type": system.type_label}, "elements"
+    if len(index) > TABLE_EMIT_CAP:
+        raise ValueError(
+            "full-table emission capped at %d rows (got %d %s)"
+            % (TABLE_EMIT_CAP, len(index), rows_of)
+        )
+    order = sorted(index, key=lambda w: (system.lengths[w], w))
+    names = [system.word_name(w) for w in order]
+    values = [[cell(x, y) for y in order] for x in order]
+    nonzero = [
+        (names[i], names[j], value)
+        for i, row in enumerate(values)
+        for j, value in enumerate(row)
+        if value
+    ]
     if fmt == "json":
-        rows = []
-        for x in order:
-            for y in order:
-                value = cell(x, y)
-                if value is None or not value:
-                    continue
-                rows.append(
-                    {"x": system.word_name(x), "y": system.word_name(y),
-                     "value": value.to_json()}
-                )
-        return json.dumps({"kind": kind, "type": system.type_label, "cells": rows},
-                          sort_keys=True)
+        cells = [{"x": x, "y": y, "value": value.to_json()} for x, y, value in nonzero]
+        return json.dumps({"kind": kind, **meta, "cells": cells}, sort_keys=True)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["x", "y", "terms"])
-        for x in order:
-            for y in order:
-                value = cell(x, y)
-                if value is None or not value:
-                    continue
-                writer.writerow(
-                    [system.word_name(x), system.word_name(y),
-                     json.dumps(value.to_json()["terms"])]
-                )
+        for x, y, value in nonzero:
+            writer.writerow([x, y, json.dumps(value.to_json()["terms"])])
         return buf.getvalue().rstrip("\n")
+    if kind in ("singular", "parabolic"):
+        return "\n".join("%s , %s : %s" % entry for entry in nonzero)
     # text: markdown-ish grid
-    names = [system.word_name(w) for w in order]
     header = ["x\\y"] + names
     lines = [" | ".join(header)]
     lines.append(" | ".join("---" for _ in header))
-    for x in order:
-        row = [system.word_name(x)]
-        for y in order:
-            value = cell(x, y)
-            row.append("0" if (value is None or not value) else str(value))
-        lines.append(" | ".join(row))
+    for name, row in zip(names, values):
+        lines.append(" | ".join([name] + [str(value) if value else "0" for value in row]))
     return "\n".join(lines)
+
+
+def _emit_records(args, payload, lines, empty: str = ""):
+    """Write a record or a list of rows: the payload as JSON under
+    --format json, otherwise the text lines (csv prints the text form too)."""
+    if args.format == "json":
+        _emit(args, json.dumps(payload, sort_keys=True))
+    else:
+        _emit(args, "\n".join(lines) or empty)
+
+
+def _info_lines(info: dict):
+    return ["%s: %s" % item for item in sorted(info.items())]
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -180,10 +182,7 @@ def cmd_group(args) -> int:
         "longest_length": sy.lengths[sy.w0],
         "longest_word": sy.word_name(sy.w0),
     }
-    if args.format == "json":
-        _emit(args, json.dumps(info, sort_keys=True))
-    else:
-        _emit(args, "\n".join("%s: %s" % (k, v) for k, v in sorted(info.items())))
+    _emit_records(args, info, _info_lines(info))
     return 0
 
 
@@ -192,14 +191,9 @@ def cmd_kl(args) -> int:
     kl, rt = _tables(sy, args.cache_dir)
     if args.nontrivial_from is not None:
         x = sy.element(args.nontrivial_from)
-        rows = kl.nontrivial_from(x)
-        if args.format == "json":
-            payload = [
-                {"y": sy.word_name(y), "p": p.to_json()} for y, p in rows
-            ]
-            _emit(args, json.dumps(payload, sort_keys=True))
-        else:
-            _emit(args, "\n".join("%s: %s" % (sy.word_name(y), p) for y, p in rows) or "(none)")
+        rows = [(sy.word_name(y), p) for y, p in kl.nontrivial_from(x)]
+        _emit_records(args, [{"y": y, "p": p.to_json()} for y, p in rows],
+                      ["%s: %s" % row for row in rows], empty="(none)")
     else:
         x, y = sy.element(getattr(args, "from")), sy.element(args.to)
         _emit(args, _poly_out(args, kl.kl_poly(x, y)))
@@ -208,13 +202,13 @@ def cmd_kl(args) -> int:
 
 
 def cmd_rpoly(args) -> int:
-    if args.type.strip().upper() == "E7":
+    if canonical_label(args.type) == "E7":
         return _rpoly_e7_reference(args)
     sy = _build(args)
     kl, rt = _tables(sy, args.cache_dir)
     if args.table:
         kind = "expected" if args.expected else "rpoly"
-        _emit(args, emit_table(kind, sy, args.format, kl=kl, rt=rt))
+        _emit(args, emit_table(kind, sy, args.format, rt=rt))
     else:
         x, y = sy.element(getattr(args, "from")), sy.element(args.to)
         _emit(args, _poly_out(args, rt.r_poly(x, y)))
@@ -259,27 +253,10 @@ def cmd_srpoly(args) -> int:
 def _parabolic_common(args, kind: str) -> int:
     sy = _build(args)
     kl, rt = _tables(sy, args.cache_dir)
-    par = sy.parabolic(_parse_J(sy, args.J))
-    table = ParabolicRTable(rt, par, kind)
     if args.table:
-        reps = sorted(table.reps, key=lambda w: (sy.lengths[w], w))
-        if args.format == "json":
-            rows = [
-                {"x": sy.word_name(x), "y": sy.word_name(y), "value": table.poly(x, y).to_json()}
-                for x in reps
-                for y in reps
-                if table.poly(x, y)
-            ]
-            _emit(args, json.dumps({"kind": kind, "J": args.J, "cells": rows}, sort_keys=True))
-        else:
-            lines = []
-            for x in reps:
-                for y in reps:
-                    p = table.poly(x, y)
-                    if p:
-                        lines.append("%s , %s : %s" % (sy.word_name(x), sy.word_name(y), p))
-            _emit(args, "\n".join(lines))
+        _emit(args, emit_table(kind, sy, args.format, rt=rt, J=args.J))
     else:
+        table = ParabolicRTable(rt, sy.parabolic(_parse_J(sy, args.J)), kind)
         x, y = sy.element(getattr(args, "from")), sy.element(args.to)
         _emit(args, _poly_out(args, table.poly(x, y)))
     _save_tables(sy, kl, rt, args.cache_dir)
@@ -300,19 +277,19 @@ def cmd_grid(args) -> int:
     kl, rt = _tables(sy, args.cache_dir)
     grid = hom_grid(kl, sy.element(args.target), sy.element(args.source))
     cells = grid.nonzero()
-    if args.format == "json":
-        _emit(args, json.dumps(
-            {"target": sy.word_name(grid.target), "source": sy.word_name(grid.source),
-             "cells": [[a, b, v] for a, b, v in cells]},
-            sort_keys=True))
-    elif args.format == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["a", "b", "dim"])
         writer.writerows(cells)
         _emit(args, buf.getvalue().rstrip("\n"))
     else:
-        _emit(args, "\n".join("(%d, %d): %d" % c for c in cells))
+        _emit_records(
+            args,
+            {"target": sy.word_name(grid.target), "source": sy.word_name(grid.source),
+             "cells": [[a, b, v] for a, b, v in cells]},
+            ["(%d, %d): %d" % c for c in cells],
+        )
     _save_tables(sy, kl, rt, args.cache_dir)
     return 0
 
@@ -326,10 +303,8 @@ def cmd_triangle(args) -> int:
                   "expected" if p.expected else "interior")}
         for p in region.points
     ]
-    if args.format == "json":
-        _emit(args, json.dumps({"d": region.d, "points": rows}, sort_keys=True))
-    else:
-        _emit(args, "\n".join("(%d, %d) %s" % (r["a"], r["b"], r["kind"]) for r in rows))
+    _emit_records(args, {"d": region.d, "points": rows},
+                  ["(%d, %d) %s" % (r["a"], r["b"], r["kind"]) for r in rows])
     return 0
 
 
@@ -337,49 +312,21 @@ def cmd_scan(args) -> int:
     sy = _build(args)
     kl, rt = _tables(sy, args.cache_dir)
     partition = equiv_classes(sy)
-    pairs = sy.comparable_pairs()
-
-    def probe(chunk):
-        out = []
-        for x, y in chunk:
-            bad = rt.sign_compatibility(x, y)
-            cert = r_determined(sy, x, y, kl=kl, partition=partition)
-            out.append((x, y, bad, cert.kind if cert else None))
-        return out
-
-    if args.threads > 1:
-        step = max(1, len(pairs) // args.threads)
-        chunks = [pairs[i:i + step] for i in range(0, len(pairs), step)]
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = [row for part in pool.map(probe, chunks) for row in part]
-    else:
-        results = probe(pairs)
-    results.sort(key=lambda r: (r[0], r[1]))
-
-    violations = [(x, y, bad) for x, y, bad, _ in results if bad]
-    uncertified = [(x, y) for x, y, bad, cert in results if cert is None]
-    verdict = not violations and not uncertified
-    if args.format == "json":
-        _emit(args, json.dumps({
-            "type": sy.type_label,
-            "pairs": len(pairs),
-            "verdict": verdict,
-            "sign_violations": [
-                {"x": sy.word_name(x), "y": sy.word_name(y), "exponents": bad}
-                for x, y, bad in violations
-            ],
-            "uncertified": [
-                {"x": sy.word_name(x), "y": sy.word_name(y)} for x, y in uncertified
-            ],
-        }, sort_keys=True))
-    else:
-        lines = ["%s: %d comparable pairs" % (sy.type_label, len(pairs))]
-        lines.append("all extensions expected: %s" % ("yes" if verdict else "no"))
-        for x, y, bad in violations:
-            lines.append("sign violation (%s, %s) at %s" % (sy.word_name(x), sy.word_name(y), bad))
-        for x, y in uncertified:
-            lines.append("no certificate for (%s, %s)" % (sy.word_name(x), sy.word_name(y)))
-        _emit(args, "\n".join(lines))
+    report = all_expected_predicate(sy, kl=kl, rt=rt, partition=partition)
+    name = sy.word_name
+    violations = [(name(x), name(y), bad) for x, y, bad in report.sign_violations]
+    uncertified = [(name(x), name(y)) for x, y in report.uncertified]
+    lines = ["%s: %d comparable pairs" % (sy.type_label, len(partition.pairs))]
+    lines.append("all extensions expected: %s" % ("yes" if report.verdict else "no"))
+    lines.extend("sign violation (%s, %s) at %s" % row for row in violations)
+    lines.extend("no certificate for (%s, %s)" % row for row in uncertified)
+    _emit_records(args, {
+        "type": sy.type_label,
+        "pairs": len(partition.pairs),
+        "verdict": report.verdict,
+        "sign_violations": [{"x": x, "y": y, "exponents": bad} for x, y, bad in violations],
+        "uncertified": [{"x": x, "y": y} for x, y in uncertified],
+    }, lines)
     _save_tables(sy, kl, rt, args.cache_dir)
     return 0
 
@@ -395,15 +342,12 @@ def cmd_predict(args) -> int:
          "flag": "expected" if r.expected else "additional"}
         for r in records
     ]
-    if args.format == "json":
-        _emit(args, json.dumps(rows, sort_keys=True))
-    else:
-        _emit(args, "\n".join(
-            "%s: witness %s (i,j)=(%d,%d) degree %d shift %d [%s]"
-            % (r["pen"], r["witness"], r["pair"][0], r["pair"][1],
-               r["degree"], r["shift"], r["flag"])
-            for r in rows
-        ) or "(no records)")
+    _emit_records(args, rows, [
+        "%s: witness %s (i,j)=(%d,%d) degree %d shift %d [%s]"
+        % (r["pen"], r["witness"], r["pair"][0], r["pair"][1],
+           r["degree"], r["shift"], r["flag"])
+        for r in rows
+    ], empty="(no records)")
     return 0
 
 
@@ -412,19 +356,16 @@ def cmd_classes(args) -> int:
     part = equiv_classes(sy)
     if args.pair:
         xw, yw = args.pair.split(",")
-        members = part.class_of(sy.element(xw.strip()), sy.element(yw.strip()))
-        rows = [[sy.word_name(x), sy.word_name(y)] for x, y in members]
-        if args.format == "json":
-            _emit(args, json.dumps(rows, sort_keys=True))
-        else:
-            _emit(args, "\n".join("(%s, %s)" % (a, b) for a, b in rows))
+        x, y = sy.element(xw.strip()), sy.element(yw.strip())
+        if not sy.bruhat_leq(y, x):
+            raise ValueError("pair (%s, %s) needs x >= y in Bruhat order"
+                             % (sy.word_name(x), sy.word_name(y)))
+        rows = [[sy.word_name(a), sy.word_name(b)] for a, b in part.class_of(x, y)]
+        _emit_records(args, rows, ["(%s, %s)" % (a, b) for a, b in rows])
     else:
         info = {"type": sy.type_label, "pairs": len(part.pairs),
                 "classes": len(part.classes), "sizes": part.class_sizes()}
-        if args.format == "json":
-            _emit(args, json.dumps(info, sort_keys=True))
-        else:
-            _emit(args, "\n".join("%s: %s" % (k, v) for k, v in sorted(info.items())))
+        _emit_records(args, info, _info_lines(info))
     return 0
 
 
@@ -521,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="sign-rule and certificate scan over all pairs")
     _add_common(p)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("predict", help="type-A first-extension predictor")

@@ -40,12 +40,18 @@ def _chain_cartan(n):
     return cartan
 
 
-def _cartan_and_names(label: str):
-    """Cartan matrix, generator names and group order for a type label."""
+def canonical_label(label: str) -> str:
+    """A type label in its canonical spelling: "e_7" and "E7" both give "E7"."""
     m = re.fullmatch(r"([ABCDEFG])[_]?(\d+)", label.strip().upper())
     if not m:
         raise UnsupportedTypeError("unrecognized Cartan type: %r" % (label,))
-    family, n = m.group(1), int(m.group(2))
+    return "%s%d" % (m.group(1), int(m.group(2)))
+
+
+def _cartan_and_names(label: str):
+    """Cartan matrix, generator names and group order for a type label."""
+    label = canonical_label(label)
+    family, n = label[0], int(label[1:])
 
     def fact(k):
         return reduce(lambda a, b: a * b, range(1, k + 1), 1)
@@ -415,7 +421,7 @@ def build_system(type_label: str, cap: int = DEFAULT_CAP) -> CoxeterSystem:
         raise CapExceededError(
             "type %s has order %d, above the cap %d" % (type_label, order, cap)
         )
-    system = CoxeterSystem(type_label.strip().upper(), cartan, names)
+    system = CoxeterSystem(canonical_label(type_label), cartan, names)
     if system.order != order:
         raise AssertionError(
             "enumeration of %s found %d elements, expected %d"

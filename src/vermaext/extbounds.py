@@ -140,33 +140,18 @@ def kl_bound_poly(kl: KLTable, x_target: int, y_source: int) -> BiPoly:
 
 def hom_grid(kl: KLTable, target: int, source: int) -> ExtGrid:
     """Hom dimensions from the source Verma into each term of the linear
-    tilting coresolution of the target Verma:
+    tilting coresolution of the target Verma, read off the bound polynomial:
 
-        cell (a, b) = sum over z of p^(a)_{target, z} * p^(a-b)_{source w0, z w0}.
+        cell (a, a - k) = coefficient of u^k v^a in kl_bound_poly(kl, target, source)
+                        = sum over z of p^(a)_{target, z} * p^(k)_{source w0, z w0}.
 
     The placement reproduces the reference socle grid exactly: expected-edge
     cells sit at b = 2a - d and every extension of the pair at bidegree
     (a, b) is bounded by cell (a, b).
     """
-    sy = kl.system
-    w0 = sy.w0
-    sw0 = sy.mult(source, w0)
-    cells: dict[tuple[int, int], int] = {}
-    for z in range(sy.order):
-        pt = kl.kl_poly(target, z)
-        if not pt:
-            continue
-        ps = kl.kl_poly(sw0, sy.mult(z, w0))
-        if not ps:
-            continue
-        for a, ca in pt.items():
-            for k, cs in ps.items():
-                key = (a, a - k)
-                cells[key] = cells.get(key, 0) + ca * cs
-    return ExtGrid(
-        sy, target, source, "HomToTiltingComplex",
-        {k: v for k, v in cells.items() if v},
-    )
+    bound = kl_bound_poly(kl, target, source)
+    cells = {(a, a - k): c for (k, a), c in bound.items()}
+    return ExtGrid(kl.system, target, source, "HomToTiltingComplex", cells)
 
 
 def refined_bound(kl: KLTable, x: int, y: int, a: int, b: int) -> int:
@@ -182,18 +167,15 @@ def refined_bound(kl: KLTable, x: int, y: int, a: int, b: int) -> int:
     d = sy.lengths[x] - sy.lengths[y]
     if 2 * a - b == d:
         raise ValueError("refined_bound only applies off the expected edge")
+    total = hom_grid(kl, y, x).value(a, b)
     w0 = sy.w0
     xw0 = sy.mult(x, w0)
-    total = 0
     best = 0
     ly = sy.lengths[y]
     for w in range(sy.order):
-        pk = kl.kl_poly(y, w).coeff(a)
-        c = kl.kl_poly(xw0, sy.mult(w, w0)).coeff(a - b)
-        if pk and c:
-            total += pk * c
-        if c and sy.lengths[w] == ly + a and sy.bruhat_leq(y, w):
-            best = max(best, c)
+        if sy.lengths[w] != ly + a or not sy.bruhat_leq(y, w):
+            continue
+        best = max(best, kl.kl_poly(xw0, sy.mult(w, w0)).coeff(a - b))
     return max(total - best, 0)
 
 
@@ -222,6 +204,17 @@ def expected_dims(rt: RTable, x: int, y: int) -> ExtGrid:
     if not violations:
         assert all(v >= 0 for v in cells.values())
     return grid
+
+
+def expected_bipoly(rt: RTable, x: int, y: int) -> BiPoly:
+    """Expected dimensions packed as the sum of dims * u^(d-a) v^a; zero
+    unless x >= y, like r_{x,y}."""
+    sy = rt.system
+    if not sy.bruhat_leq(y, x):
+        return BiPoly()
+    d = sy.lengths[x] - sy.lengths[y]
+    grid = expected_dims(rt, x, y)
+    return BiPoly({(d - a, a): v for (a, b), v in grid.cells.items()})
 
 
 # -- certificates -------------------------------------------------------------

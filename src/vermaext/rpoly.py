@@ -27,8 +27,7 @@ class RTable:
     """Memoized ordinary R-polynomials for one Coxeter system.
 
     Concurrent reads are safe and duplicated computation is benign: entries
-    are deterministic and inserted whole, so scans may share a table across
-    threads.
+    are deterministic and inserted whole.
     """
 
     def __init__(self, system: CoxeterSystem):

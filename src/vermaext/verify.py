@@ -16,6 +16,7 @@ from . import refdata
 from .coxeter import CapExceededError, build_system
 from .extbounds import (
     all_expected_predicate,
+    expected_bipoly,
     expected_dims,
     hom_grid,
     kl_bound_poly,
@@ -54,14 +55,6 @@ class SuiteResult:
         return lines
 
 
-def _expected_bipoly(rt: RTable, x: int, y: int) -> BiPoly:
-    """Expected dimensions packed as sum of dims * u^(d-a) v^a."""
-    sy = rt.system
-    d = sy.lengths[x] - sy.lengths[y]
-    grid = expected_dims(rt, x, y)
-    return BiPoly({(d - a, a): v for (a, b), v in grid.cells.items()})
-
-
 def suite_a1_tables() -> SuiteResult:
     res = SuiteResult("a1-tables")
     sy = build_system("A1")
@@ -70,7 +63,7 @@ def suite_a1_tables() -> SuiteResult:
         x, y = sy.element(xw), sy.element(yw)
         res.expect_equal(
             "expected table entry (%s, %s)" % (xw, yw),
-            _expected_bipoly(rt, x, y),
+            expected_bipoly(rt, x, y),
             BiPoly(cells),
         )
     s = sy.element("s1")
@@ -101,7 +94,7 @@ def suite_a2_tables() -> SuiteResult:
                 continue
             want = BiPoly(refdata.A2_EXPECTED_TABLE[(xw, yw)])
             res.expect_equal("expected table cell (%s, %s)" % (xw, yw),
-                             _expected_bipoly(rt, x, y), want)
+                             expected_bipoly(rt, x, y), want)
     return res
 
 

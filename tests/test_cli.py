@@ -146,6 +146,26 @@ class TestTableEmission:
         with pytest.raises(ValueError):
             emit_table("rpoly", sy, "text")
 
+    def test_parabolic_table_cap(self, capsys):
+        code = run(["srpoly", "--type", "D5", "--table"])
+        assert code == 2
+        assert "capped at 120 rows (got 1920 coset representatives)" in capsys.readouterr().err
+
+    def test_parabolic_table_under_cap(self, capsys):
+        code, out = capture(capsys, ["prpoly", "--type", "D5", "--J", "s1,s2,s3,s4",
+                                     "--table", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["cells"]
+
+    def test_parabolic_table_csv(self, capsys):
+        code, out = capture(
+            capsys, ["prpoly", "--type", "A2", "--J", "s1", "--table", "--format", "csv"]
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "x,y,terms"
+        assert lines[2] == 's2,e,"[[-1, -1], [1, 1]]"'
+
 
 class TestE7Reference:
     def test_reference_pair_served(self, capsys):
@@ -156,6 +176,12 @@ class TestE7Reference:
         assert code == 0
         poly = LaurentPoly.from_json(json.loads(out))
         assert [poly.coeff(k) for k in range(-63, 64, 2)] == E7_R_W0_E
+
+    def test_label_spellings_agree(self, capsys):
+        argv = ["rpoly", "--from", "w0", "--to", "e"]
+        outs = [capture(capsys, argv + ["--type", label]) for label in ("E7", "E_7", "e7")]
+        assert outs[0][0] == 0
+        assert outs[1] == outs[0] and outs[2] == outs[0]
 
     def test_other_pairs_refused(self, capsys):
         code = run(["rpoly", "--type", "E7", "--from", "s1", "--to", "e"])
@@ -169,6 +195,11 @@ class TestE7Reference:
 
 
 class TestDeterminismAndCache:
+    def test_scan_label_spellings_agree(self, capsys):
+        outs = [capture(capsys, ["scan", "--type", label]) for label in ("A3", "A_3", "a3")]
+        assert outs[0][1].startswith("A3: 213 comparable pairs\nall extensions expected: yes")
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
     def test_repeat_runs_identical(self, capsys):
         outs = []
         for _ in range(2):
@@ -179,12 +210,10 @@ class TestDeterminismAndCache:
             outs.append(out)
         assert outs[0] == outs[1]
 
-    def test_threads_do_not_change_output(self, capsys):
-        _, single = capture(capsys, ["scan", "--type", "A3", "--format", "json"])
-        _, multi = capture(
-            capsys, ["scan", "--type", "A3", "--format", "json", "--threads", "4"]
-        )
-        assert single == multi
+    def test_threads_option_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            run(["scan", "--type", "A3", "--threads", "2"])
+        assert exc.value.code == 2
 
     def test_cache_round_trip(self, capsys, tmp_path):
         cache = str(tmp_path / "cache")
@@ -231,6 +260,11 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             run(["rpoly"])  # missing --type
         assert exc.value.code == 2
+
+    def test_classes_pair_needs_bruhat_order(self, capsys):
+        assert run(["classes", "--type", "A3", "--pair", "e,w0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: pair (e, s1*s2*s1*s3*s2*s1) needs x >= y in Bruhat order\n"
 
     def test_bad_element_exit_2(self):
         assert run(["rpoly", "--type", "A2", "--from", "s9", "--to", "e"]) == 2

@@ -79,13 +79,13 @@ GOLDEN = {
     'prpoly --type A2 --J s1 --from s2 --to e --format csv': (0, 'e168e1a911c7981b0e98040ce767ff6762c9d411d1dd322064a5e127b25246dc'),
     'prpoly --type A2 --J s1 --from s2 --to e --format json': (0, '5c8302526a173068a673a38aa770b4681b3d290e75431e19ec5ea0c7940f0de3'),
     'prpoly --type A2 --J s1 --table --format text': (0, '78551a50a6e4c79266cf166e7bba662055e6f483a6fa0b5f44340af6be40932c'),
-    'prpoly --type A2 --J s1 --table --format csv': (0, '78551a50a6e4c79266cf166e7bba662055e6f483a6fa0b5f44340af6be40932c'),
+    'prpoly --type A2 --J s1 --table --format csv': (0, '99db4ef556a1d447f31e16a576147b9af1ad62a12a53b36d54ea85a16f1b143a'),
     'prpoly --type A2 --J s1 --table --format json': (0, 'e3d5cf385733b8466d1a14111cd50b80179ef7b4014581d85c6cdfeaaef3b48b'),
     'srpoly --type A2 --J s1 --from s2 --to e --format text': (0, 'e168e1a911c7981b0e98040ce767ff6762c9d411d1dd322064a5e127b25246dc'),
     'srpoly --type A2 --J s1 --from s2 --to e --format csv': (0, 'e168e1a911c7981b0e98040ce767ff6762c9d411d1dd322064a5e127b25246dc'),
     'srpoly --type A2 --J s1 --from s2 --to e --format json': (0, '5c8302526a173068a673a38aa770b4681b3d290e75431e19ec5ea0c7940f0de3'),
     'srpoly --type A2 --J s1 --table --format text': (0, '0bcc9fc61a25f20eb3d06564cfbfdc73d5460c0472a8228495a8b4d10744a309'),
-    'srpoly --type A2 --J s1 --table --format csv': (0, '0bcc9fc61a25f20eb3d06564cfbfdc73d5460c0472a8228495a8b4d10744a309'),
+    'srpoly --type A2 --J s1 --table --format csv': (0, '93eedb3521d376291c9b19839930c720307eb68222611f6db49e947d06c55021'),
     'srpoly --type A2 --J s1 --table --format json': (0, 'dc67929a77293ea9b2f3561f6957af172a825d54706ddc50939a0d660ac0fdb6'),
     'bound --type A2 --target e --source s1*s2 --format text': (0, 'eaae377e8e40aa1ecb86fac4535ed0c0e30613f4b9e101c08533aeec5ce501d4'),
     'bound --type A2 --target e --source s1*s2 --format csv': (0, 'eaae377e8e40aa1ecb86fac4535ed0c0e30613f4b9e101c08533aeec5ce501d4'),
@@ -130,13 +130,13 @@ GOLDEN = {
     'prpoly --type A3 --J s1,s3 --from s2 --to e --format csv': (0, 'e168e1a911c7981b0e98040ce767ff6762c9d411d1dd322064a5e127b25246dc'),
     'prpoly --type A3 --J s1,s3 --from s2 --to e --format json': (0, '5c8302526a173068a673a38aa770b4681b3d290e75431e19ec5ea0c7940f0de3'),
     'prpoly --type A3 --J s1,s3 --table --format text': (0, 'c87998f123e4f0549f64bb105a58ec0c5ce376ba1255b7e3af679e9028c36df7'),
-    'prpoly --type A3 --J s1,s3 --table --format csv': (0, 'c87998f123e4f0549f64bb105a58ec0c5ce376ba1255b7e3af679e9028c36df7'),
+    'prpoly --type A3 --J s1,s3 --table --format csv': (0, 'fdc854de0df3363edd2c0a74cf4a4e1a6d062838110a06948d4d9bd1fcedb521'),
     'prpoly --type A3 --J s1,s3 --table --format json': (0, '11e84e9201ef2476e14b6bb77f09f279e3d0ccc1c8892f6b78fae14f474e2ba2'),
     'srpoly --type A3 --J s1,s3 --from s2 --to e --format text': (0, 'e168e1a911c7981b0e98040ce767ff6762c9d411d1dd322064a5e127b25246dc'),
     'srpoly --type A3 --J s1,s3 --from s2 --to e --format csv': (0, 'e168e1a911c7981b0e98040ce767ff6762c9d411d1dd322064a5e127b25246dc'),
     'srpoly --type A3 --J s1,s3 --from s2 --to e --format json': (0, '5c8302526a173068a673a38aa770b4681b3d290e75431e19ec5ea0c7940f0de3'),
     'srpoly --type A3 --J s1,s3 --table --format text': (0, '41bcad7f93a40c578364255077089a4d2a357357f33c255005a0438c999c8c6a'),
-    'srpoly --type A3 --J s1,s3 --table --format csv': (0, '41bcad7f93a40c578364255077089a4d2a357357f33c255005a0438c999c8c6a'),
+    'srpoly --type A3 --J s1,s3 --table --format csv': (0, '78be8c9ddd55bcf8379e1284cd16918c1eb2b3f9f8efab6fc499e35bf4b56358'),
     'srpoly --type A3 --J s1,s3 --table --format json': (0, 'cc48736513aab32d8384efee1ae86ebe8f71d69871926b004512163cebe69ba6'),
     'bound --type A3 --target e --source s2*s1*s3*s2 --format text': (0, '32e3a505ddac9aedab294fdf6893753ae09d510aa4f93b3fba4957e48ddc1caf'),
     'bound --type A3 --target e --source s2*s1*s3*s2 --format csv': (0, '32e3a505ddac9aedab294fdf6893753ae09d510aa4f93b3fba4957e48ddc1caf'),
@@ -181,13 +181,13 @@ GOLDEN = {
     'prpoly --type B3 --J s0 --from s2 --to e --format csv': (0, 'e168e1a911c7981b0e98040ce767ff6762c9d411d1dd322064a5e127b25246dc'),
     'prpoly --type B3 --J s0 --from s2 --to e --format json': (0, '5c8302526a173068a673a38aa770b4681b3d290e75431e19ec5ea0c7940f0de3'),
     'prpoly --type B3 --J s0 --table --format text': (0, '3d9cd1eea77af4f6c18caf457da340efb7d1ccd6b6c74a0c22a3018943bd251e'),
-    'prpoly --type B3 --J s0 --table --format csv': (0, '3d9cd1eea77af4f6c18caf457da340efb7d1ccd6b6c74a0c22a3018943bd251e'),
+    'prpoly --type B3 --J s0 --table --format csv': (0, '1c9fd26c6588df9b92ed5e9713cd51c19c48b3a7ec98dbf8ca97e9e691671ccc'),
     'prpoly --type B3 --J s0 --table --format json': (0, '210c2da856973263b7439a2aaacdba24ad9ba133c3f5b33938d2ee3c2b9eb5b1'),
     'srpoly --type B3 --J s0 --from s2 --to e --format text': (0, 'e168e1a911c7981b0e98040ce767ff6762c9d411d1dd322064a5e127b25246dc'),
     'srpoly --type B3 --J s0 --from s2 --to e --format csv': (0, 'e168e1a911c7981b0e98040ce767ff6762c9d411d1dd322064a5e127b25246dc'),
     'srpoly --type B3 --J s0 --from s2 --to e --format json': (0, '5c8302526a173068a673a38aa770b4681b3d290e75431e19ec5ea0c7940f0de3'),
     'srpoly --type B3 --J s0 --table --format text': (0, '74b607a6495c426b4669e7290d6e97695242977850d92a0d2b271f73fe848642'),
-    'srpoly --type B3 --J s0 --table --format csv': (0, '74b607a6495c426b4669e7290d6e97695242977850d92a0d2b271f73fe848642'),
+    'srpoly --type B3 --J s0 --table --format csv': (0, 'ff0c3a24a4fb717bec40cd83a6eb9a7851c30755c78d46a4d7cd6b9568bf5848'),
     'srpoly --type B3 --J s0 --table --format json': (0, 'c90d78e1e818112cca2a56f8dffb8366162f3d615fc9a0215e561dd9bdfdbd2e'),
     'bound --type B3 --target e --source s0*s1*s0 --format text': (0, '6e4021895131176e7627f43d67b3d4f413e1f70775dd783a64479bc58cd7bfed'),
     'bound --type B3 --target e --source s0*s1*s0 --format csv': (0, '6e4021895131176e7627f43d67b3d4f413e1f70775dd783a64479bc58cd7bfed'),
