@@ -1,5 +1,6 @@
 """Golden corpus of CLI outputs: the exit code and the sha256 of stdout for
-every subcommand in every output format on A2, A3 and B3.
+every subcommand in every output format on A2, A3 and B3, and of ``scan`` on
+D4, the smallest group here whose scan reaches the Boolean certificate.
 
 A change to the CLI or the layers under it must leave every entry as it is,
 unless the change means to alter that output.  Print the corpus of the
@@ -44,6 +45,8 @@ def corpus() -> list[list[str]]:
         for cmd in commands:
             for fmt in FORMATS:
                 argvs.append(cmd[:1] + ["--type", label] + cmd[1:] + ["--format", fmt])
+    for fmt in FORMATS:
+        argvs.append(["scan", "--type", "D4", "--format", fmt])
     for fmt in FORMATS:
         argvs.append(["verify", "--suite", "a2-tables", "--format", fmt])
     return argvs
@@ -210,6 +213,9 @@ GOLDEN = {
     'classes --type B3 --pair w0,e --format text': (0, '51aae052a1c44833943077367a318604e7513978a28db82298e17612101e6204'),
     'classes --type B3 --pair w0,e --format csv': (0, '51aae052a1c44833943077367a318604e7513978a28db82298e17612101e6204'),
     'classes --type B3 --pair w0,e --format json': (0, '2373b59b5d198921ac66548b0d16e7d63811b723805f458a2663a2b1485516c6'),
+    'scan --type D4 --format text': (0, '9fbe92a0920edab2f41c248d08a96a5574a068c229a0913597280853b5217b6e'),
+    'scan --type D4 --format csv': (0, '9fbe92a0920edab2f41c248d08a96a5574a068c229a0913597280853b5217b6e'),
+    'scan --type D4 --format json': (0, 'a9aac55696590ecb7fb3c89432fb6fa1d46077591450e60dccda0569f4c3ba2c'),
     'verify --suite a2-tables --format text': (0, 'a322ac817a065d64bacdacc9a47493a6a5defed2f6a81b11a52093546f1700ed'),
     'verify --suite a2-tables --format csv': (0, 'a322ac817a065d64bacdacc9a47493a6a5defed2f6a81b11a52093546f1700ed'),
     'verify --suite a2-tables --format json': (0, 'a322ac817a065d64bacdacc9a47493a6a5defed2f6a81b11a52093546f1700ed'),
