@@ -218,12 +218,12 @@ def cmd_rpoly(args) -> int:
 
 def _rpoly_e7_reference(args) -> int:
     """E7 is far above the enumeration cap; the (w0, e) coefficient list is
-    served from the stored reference data, never recomputed."""
-    x, y = getattr(args, "from"), args.to
-    if (x, y) != ("w0", "e"):
+    served from the stored reference data, never recomputed.  Any other
+    pair, and any --table, is refused."""
+    if args.table or (getattr(args, "from"), args.to) != ("w0", "e"):
         print(
-            "E7 is not enumerated (order 2903040 exceeds the cap); only the "
-            "stored reference pair (w0, e) is available.",
+            "E7 is not enumerated (order 2903040 exceeds the cap); there is no "
+            "E7 table, only the stored reference pair (w0, e).",
             file=sys.stderr,
         )
         return 2
@@ -355,6 +355,8 @@ def cmd_classes(args) -> int:
     sy = _build(args)
     part = equiv_classes(sy)
     if args.pair:
+        if args.pair.count(",") != 1:
+            raise ValueError("--pair needs two elements 'x,y' (got %r)" % args.pair)
         xw, yw = args.pair.split(",")
         x, y = sy.element(xw.strip()), sy.element(yw.strip())
         if not sy.bruhat_leq(y, x):
@@ -496,7 +498,18 @@ def run(argv=None) -> int:
 
 
 def main():  # console entry point
-    sys.exit(run())
+    try:
+        code = run()
+        # flush here, so a reader that closed the pipe early is seen inside
+        # the try block and not at interpreter shutdown
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is left to devnull so the shutdown
+        # flush cannot fail again, and exit 1 as Python does on EPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

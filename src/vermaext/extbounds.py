@@ -244,18 +244,19 @@ def determined_shifts(system: CoxeterSystem, x: int, y: int) -> list[int]:
 def trivial_kl_certificate(kl: KLTable, y: int) -> bool:
     """All p_{y,w} and p_{e,w w0} trivial for w >= y: every tilting summand in
     sight has the expected position and a simple socle, so nothing off the
-    edge can occur for any x >= y.
+    edge can occur for any x >= y.  The answer depends on y alone and is
+    kept in kl.trivial_certificates.
     """
-    sy = kl.system
-    w0 = sy.w0
-    for w in range(sy.order):
-        if not sy.bruhat_leq(y, w):
-            continue
-        if not kl.is_trivial(y, w):
-            return False
-        if not kl.is_trivial(0, sy.mult(w0, w)):
-            return False
-    return True
+    hit = kl.trivial_certificates.get(y)
+    if hit is None:
+        sy = kl.system
+        w0 = sy.w0
+        hit = kl.trivial_certificates[y] = all(
+            kl.is_trivial(y, w) and kl.is_trivial(0, sy.mult(w0, w))
+            for w in range(sy.order)
+            if sy.bruhat_leq(y, w)
+        )
+    return hit
 
 
 def r_determined(

@@ -10,8 +10,6 @@ projectives, which is what all the dimension bounds downstream consume.
 
 from __future__ import annotations
 
-import threading
-
 from .coxeter import CoxeterSystem
 from .poly import ONE, LaurentPoly, V
 
@@ -104,32 +102,24 @@ class KLTable:
     kl_basis_element(y) returns the canonical basis element b_y as a dict
     {x: p_{x,y}}; entries are computed by the standard induction on length
     (multiply b_{ys} by b_s, subtract mu-corrections) using the
-    lowest-numbered right descent, so results are deterministic.
-
-    Reads are safe from multiple threads; computation is idempotent and
-    guarded by a lock.
+    lowest-numbered right descent, so results are deterministic.  An entry
+    never changes once computed.
     """
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
         self._basis: dict[int, dict[int, LaurentPoly]] = {0: {0: ONE}}
-        self._lock = threading.Lock()
+        # extbounds.trivial_kl_certificate's answer per y, filled on request.
+        self.trivial_certificates: dict[int, bool] = {}
 
     def kl_basis_element(self, y: int) -> dict[int, LaurentPoly]:
-        hit = self._basis.get(y)
-        if hit is not None:
-            return hit
-        with self._lock:
-            return self._compute(y)
-
-    def _compute(self, y: int) -> dict[int, LaurentPoly]:
         hit = self._basis.get(y)
         if hit is not None:
             return hit
         sy = self.system
         s = min(sy.right_descents(y))
         u = sy.right[s][y]
-        bu = self._compute(u)
+        bu = self.kl_basis_element(u)
 
         # b_u * b_s  =  b_u * h_s + v * b_u
         prod = {}
@@ -151,7 +141,7 @@ class KLTable:
                 continue
             mu = p.coeff(1)
             if mu and sy.lengths[sy.right[s][z]] < sy.lengths[z]:
-                for x, q in self._compute(z).items():
+                for x, q in self.kl_basis_element(z).items():
                     r = prod.get(x)
                     r = (q * -mu) if r is None else r - q * mu
                     if r:

@@ -61,6 +61,8 @@ class EquivPartition:
                 self.classes.append([])
             self.class_id[p] = cid
             self.classes[cid].append(p)
+        # boolean_member's answer per class id, filled on first request.
+        self._boolean_hit: dict[int, tuple[str, int, int] | None] = {}
 
     def class_of(self, x: int, y: int) -> list[tuple[int, int]]:
         return self.classes[self.class_id[(x, y)]]
@@ -76,13 +78,21 @@ class EquivPartition:
 
         Returns ("x-boolean", x', y') when some member has boolean x', or
         ("w0y-boolean", x', y') when some member has boolean w0*y'; None if
-        neither occurs anywhere in the class.
+        neither occurs anywhere in the class.  The answer is a class
+        invariant, so each class is searched once and the first witness in
+        member order is kept.
         """
+        cid = self.class_id[(x, y)]
+        if cid not in self._boolean_hit:
+            self._boolean_hit[cid] = self._first_boolean(self.classes[cid])
+        return self._boolean_hit[cid]
+
+    def _first_boolean(self, members):
         sy = self.system
-        for (wx, wy) in self.class_of(x, y):
+        for (wx, wy) in members:
             if sy.is_boolean(wx):
                 return ("x-boolean", wx, wy)
-        for (wx, wy) in self.class_of(x, y):
+        for (wx, wy) in members:
             if sy.is_boolean(sy.mult(sy.w0, wy)):
                 return ("w0y-boolean", wx, wy)
         return None

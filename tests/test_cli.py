@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import vermaext
 from vermaext.cli import emit_table, run
 from vermaext.coxeter import build_system
 from vermaext.poly import LaurentPoly
@@ -187,6 +191,13 @@ class TestE7Reference:
         code = run(["rpoly", "--type", "E7", "--from", "s1", "--to", "e"])
         assert code == 2
 
+    def test_table_refused(self, capsys):
+        for extra in ([], ["--expected"]):
+            assert run(["rpoly", "--type", "E7", "--table"] + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "no E7 table" in captured.err
+
     def test_e7_never_built(self):
         from vermaext.coxeter import CapExceededError
 
@@ -265,6 +276,25 @@ class TestVerifyCommand:
         assert run(["classes", "--type", "A3", "--pair", "e,w0"]) == 2
         err = capsys.readouterr().err
         assert err == "error: pair (e, s1*s2*s1*s3*s2*s1) needs x >= y in Bruhat order\n"
+
+    @pytest.mark.parametrize("pair", ["e", "e,s1,s2"])
+    def test_classes_pair_needs_comma(self, capsys, pair):
+        assert run(["classes", "--type", "A3", "--pair", pair]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --pair needs two elements 'x,y' (got %r)\n" % pair
+
+    def test_closed_pipe_no_traceback(self):
+        # the reader closes its end before anything is written
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vermaext.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "vermaext.cli", "scan", "--type", "A3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
     def test_bad_element_exit_2(self):
         assert run(["rpoly", "--type", "A2", "--from", "s9", "--to", "e"]) == 2

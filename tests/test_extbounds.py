@@ -1,6 +1,7 @@
 import pytest
 
-from vermaext.coxeter import build_system
+from vermaext import extbounds
+from vermaext.coxeter import CoxeterSystem, build_system
 from vermaext.extbounds import (
     BOOLEAN,
     RANK2,
@@ -14,6 +15,7 @@ from vermaext.extbounds import (
     r_determined,
     refined_bound,
     triangle_region,
+    trivial_kl_certificate,
 )
 from vermaext.hecke import KLTable
 from vermaext.intervals import equiv_classes
@@ -249,6 +251,16 @@ class TestCertificates:
         cert = r_determined(b3, b3.w0, b3.w0, kl=kl)
         assert cert is not None
 
+    @pytest.mark.parametrize("label", ["A3", "B3"])
+    def test_trivial_kl_reused_table_matches_fresh(self, label):
+        sy = build_system(label)
+        shared = KLTable(sy)
+        for y in range(sy.order):
+            first = trivial_kl_certificate(shared, y)
+            assert trivial_kl_certificate(shared, y) == first
+            assert trivial_kl_certificate(KLTable(sy), y) == first
+        assert len(shared.trivial_certificates) == sy.order
+
     def test_boolean_clause_fires_in_d4(self):
         # a multiplicity-free product of all four generators: length 4, so
         # the small-gap clause is out, and the trivial-KL clause fails at e
@@ -285,6 +297,33 @@ class TestAllExpected:
     def test_a3_true(self, a3, kl3, rt3):
         report = all_expected_predicate(a3, kl=kl3, rt=rt3, partition=equiv_classes(a3))
         assert report.verdict
+
+    def test_d4_boolean_search_linear_in_pairs(self, monkeypatch):
+        # each equivalence class is searched at most once, two passes each
+        d4 = build_system("D4")
+        part = equiv_classes(d4)
+        counted = []
+        original = CoxeterSystem.is_boolean
+        monkeypatch.setattr(
+            CoxeterSystem, "is_boolean",
+            lambda self, w: counted.append(w) or original(self, w),
+        )
+        all_expected_predicate(d4, kl=KLTable(d4), rt=RTable(d4), partition=part)
+        assert 0 < len(counted) <= 2 * len(part.pairs)
+
+    def test_trivial_kl_checked_once_per_pair(self, monkeypatch):
+        # the memo sits inside trivial_kl_certificate, so r_determined still
+        # calls it for every pair that reaches the trivial-KL clause
+        b3 = build_system("B3")
+        calls = []
+        original = extbounds.trivial_kl_certificate
+        monkeypatch.setattr(
+            extbounds, "trivial_kl_certificate",
+            lambda kl, y: calls.append(y) or original(kl, y),
+        )
+        all_expected_predicate(b3, kl=KLTable(b3), rt=RTable(b3))
+        gaps = [b3.lengths[x] - b3.lengths[y] for x, y in b3.comparable_pairs()]
+        assert len(calls) == sum(1 for d in gaps if d > 3)
 
     def test_d4_false_with_witness(self):
         d4 = build_system("D4")

@@ -1,6 +1,6 @@
 import pytest
 
-from vermaext.coxeter import build_system
+from vermaext.coxeter import CoxeterSystem, build_system
 from vermaext.intervals import (
     IntervalTooLargeError,
     boolean_r_determined,
@@ -106,6 +106,38 @@ class TestBooleanCertificate:
         for x, y in part3.pairs:
             if boolean_r_determined(part3, x, y) is not None:
                 assert rt.sign_compatibility(x, y) == []
+
+
+def _scan_class(system, members):
+    """The class search without the memo: x-boolean first, then w0y-boolean."""
+    for wx, wy in members:
+        if system.is_boolean(wx):
+            return ("x-boolean", wx, wy)
+    for wx, wy in members:
+        if system.is_boolean(system.mult(system.w0, wy)):
+            return ("w0y-boolean", wx, wy)
+    return None
+
+
+class TestBooleanMemo:
+    @pytest.mark.parametrize("label", ["A3", "B3", "D4"])
+    def test_memo_matches_direct_scan(self, label):
+        sy = build_system(label)
+        part = equiv_classes(sy)
+        for x, y in part.pairs:
+            want = _scan_class(sy, part.class_of(x, y))
+            assert part.boolean_member(x, y) == want
+            assert part.boolean_member(x, y) == want  # second call reads the memo
+
+    def test_nothing_searched_at_construction(self, monkeypatch):
+        counted = []
+        original = CoxeterSystem.is_boolean
+        monkeypatch.setattr(
+            CoxeterSystem, "is_boolean",
+            lambda self, w: counted.append(w) or original(self, w),
+        )
+        equiv_classes(build_system("D4"))
+        assert counted == []
 
 
 class TestPosetIso:
