@@ -36,7 +36,7 @@ from .intervals import (
     poset_isomorphic,
 )
 from .poly import BiPoly, LaurentPoly
-from .rpoly import ParabolicRTable, RTable, pr_poly, r_oracle_table, sr_poly
+from .rpoly import ParabolicRTable, RTable, r_oracle_table
 from .typea import (
     PenultimateIndex,
     PredictionRecord,
@@ -83,11 +83,9 @@ __all__ = [
     "penultimate_element",
     "phi_degree",
     "poset_isomorphic",
-    "pr_poly",
     "predict_ext1",
     "r_determined",
     "r_oracle_table",
     "refined_bound",
-    "sr_poly",
     "triangle_region",
 ]

@@ -5,7 +5,8 @@ predict, classes, verify.  Elements are written "e", "w0" or generator words
 like "s1*s2*s1" (types A/D/E use s1..sn, B3 uses s0,s1,s2; A3 also accepts
 the letters r, s, t).  Output is deterministic: elements are printed by their
 canonical words, tables are sorted by (length, index), and JSON carries no
-timestamps.  Exit codes: 0 success, 1 verification failure, 2 usage errors.
+timestamps.  Exit codes: 0 success, 1 verification failure, 2 usage errors
+(an unusable --output or --cache-dir path among them).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from functools import partial
 
 from . import refdata
@@ -56,15 +58,8 @@ def _tables(system: CoxeterSystem, cache_dir: str | None):
             with open(path) as fh:
                 data = json.load(fh)
             if data.get("version") == CACHE_VERSION and data.get("type") == system.type_label:
-                kl._basis.update(
-                    {int(y): {int(x): LaurentPoly({int(k): int(c) for k, c in p})
-                              for x, p in row.items()}
-                     for y, row in data["kl"].items()}
-                )
-                rt._memo.update(
-                    {(int(x), int(y)): LaurentPoly({int(k): int(c) for k, c in p})
-                     for (x, y), p in ((key.split(","), p) for key, p in data["r"].items())}
-                )
+                kl.load(data["kl"])
+                rt.load(data["r"])
     return kl, rt
 
 
@@ -72,17 +67,18 @@ def _save_tables(system: CoxeterSystem, kl: KLTable, rt: RTable, cache_dir: str 
     if not cache_dir:
         return
     os.makedirs(cache_dir, exist_ok=True)
-    data = {
-        "version": CACHE_VERSION,
-        "type": system.type_label,
-        "kl": {str(y): {str(x): p.items() for x, p in row.items()}
-               for y, row in kl._basis.items()},
-        "r": {"%d,%d" % key: p.items() for key, p in rt._memo.items()},
-    }
+    data = {"version": CACHE_VERSION, "type": system.type_label,
+            "kl": kl.export(), "r": rt.export()}
     path = _cache_path(cache_dir, system)
-    with open(path + ".tmp", "w") as fh:
-        json.dump(data, fh, sort_keys=True)
-    os.replace(path + ".tmp", path)
+    # a temporary file of its own, so concurrent writers never share one
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=os.path.basename(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(data, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _emit(args, text: str):
@@ -492,7 +488,9 @@ def run(argv=None) -> int:
         parser.error("verify needs --suite NAME or --all")
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except BrokenPipeError:
+        raise  # main() handles a reader that has gone away
+    except (OSError, ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -19,7 +19,6 @@ from functools import reduce
 import numpy as np
 
 DEFAULT_CAP = 100_000
-DENSE_BRUHAT_MAX = 1024
 
 
 class UnsupportedTypeError(ValueError):
@@ -125,8 +124,10 @@ class CoxeterSystem:
         self.gen_names = list(gen_names)
         self.rank = len(gen_names)
         self._enumerate()
-        self._bruhat_dense = None
-        self._bruhat_memo = {}
+        # Bruhat downset rows, one packed little-endian bit row per upper
+        # element, built on first request (see _downset_row).
+        self._perms = [np.asarray(r, dtype=np.intp) for r in self.right]
+        self._rows: dict[int, bytes] = {0: bytes([1]).ljust((self.order + 7) // 8, b"\0")}
 
     # -- construction --------------------------------------------------------
 
@@ -199,9 +200,6 @@ class CoxeterSystem:
             x = self.right[j][x]
         return x
 
-    def mult_gen(self, w: int, j: int, side: str = "right") -> int:
-        return self.right[j][w] if side == "right" else self.left[j][w]
-
     def inv(self, w: int) -> int:
         return self.inverse[w]
 
@@ -220,13 +218,6 @@ class CoxeterSystem:
         lw = self.lengths[w]
         return frozenset(j for j in range(self.rank) if self.lengths[self.left[j][w]] < lw)
 
-    def descents(self, w: int, side: str) -> frozenset[int]:
-        if side == "right":
-            return self.right_descents(w)
-        if side == "left":
-            return self.left_descents(w)
-        raise ValueError("side must be 'left' or 'right'")
-
     def support(self, w: int) -> frozenset[int]:
         """Generators occurring in a reduced word of w (word independent)."""
         return frozenset(self.canonical_words[w])
@@ -240,21 +231,27 @@ class CoxeterSystem:
             return False
         return len(self.left_descents(w)) == 1 and len(self.right_descents(w)) == 1
 
-    def elements_of_length(self, k: int):
-        return [w for w in range(self.order) if self.lengths[w] == k]
-
     # -- Bruhat order ----------------------------------------------------------
 
-    def _build_dense_bruhat(self):
-        n = self.order
-        mat = np.zeros((n, n), dtype=bool)
-        mat[0, 0] = True
-        for w in sorted(range(1, n), key=lambda x: self.lengths[x]):
-            s = min(self.right_descents(w))
-            u = self.right[s][w]
-            perm = np.asarray(self.right[s])
-            mat[w] = mat[u] | mat[u][perm]
-        self._bruhat_dense = mat
+    def _downset_row(self, y: int) -> bytes:
+        """The packed row of y: bit x is set iff x <= y.
+
+        With s the lowest right descent of y, x <= y iff x <= ys or
+        xs <= ys, so the row of y is the row of ys or-ed with itself permuted
+        by s.  Rows missing along the descent chain are built on the way up.
+        """
+        rows = self._rows
+        chain = []
+        while y not in rows:
+            s = min(self.right_descents(y))
+            chain.append((y, s))
+            y = self.right[s][y]
+        row = rows[y]
+        for y, s in reversed(chain):
+            bits = np.unpackbits(np.frombuffer(row, np.uint8), count=self.order, bitorder="little")
+            row = np.packbits(bits | bits[self._perms[s]], bitorder="little").tobytes()
+            rows[y] = row
+        return row
 
     def bruhat_leq(self, x: int, y: int) -> bool:
         """True iff x <= y in the Bruhat order."""
@@ -262,32 +259,13 @@ class CoxeterSystem:
             return True
         if self.lengths[x] > self.lengths[y]:
             return False
-        if self._bruhat_dense is None and self.order <= DENSE_BRUHAT_MAX:
-            self._build_dense_bruhat()
-        if self._bruhat_dense is not None:
-            return bool(self._bruhat_dense[y, x])
-        key = (x, y)
-        memo = self._bruhat_memo
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        s = min(self.right_descents(y))
-        ys = self.right[s][y]
-        xs = self.right[s][x]
-        if self.lengths[xs] < self.lengths[x]:
-            res = self.bruhat_leq(xs, ys)
-        else:
-            res = self.bruhat_leq(x, ys)
-        memo[key] = res
-        return res
+        row = self._rows.get(y) or self._downset_row(y)
+        return bool(row[x >> 3] >> (x & 7) & 1)
 
     def bruhat_downset(self, y: int) -> list[int]:
-        """All x with x <= y."""
-        if self._bruhat_dense is None and self.order <= DENSE_BRUHAT_MAX:
-            self._build_dense_bruhat()
-        if self._bruhat_dense is not None:
-            return [int(x) for x in np.nonzero(self._bruhat_dense[y])[0]]
-        return [x for x in range(self.order) if self.bruhat_leq(x, y)]
+        """All x with x <= y, in increasing index order."""
+        bits = np.unpackbits(np.frombuffer(self._downset_row(y), np.uint8), bitorder="little")
+        return np.flatnonzero(bits).tolist()
 
     def bruhat_interval(self, y: int, x: int) -> list[int]:
         """Elements z with y <= z <= x, sorted by (length, index)."""

@@ -152,6 +152,18 @@ class KLTable:
         self._basis[y] = prod
         return prod
 
+    def export(self) -> dict:
+        """Every computed b_y as JSON data: {"y": {"x": [[exponent, coefficient], ...]}}."""
+        return {str(y): {str(x): p.items() for x, p in row.items()}
+                for y, row in self._basis.items()}
+
+    def load(self, data: dict):
+        """Take in the entries of an export() snapshot."""
+        self._basis.update(
+            {int(y): {int(x): LaurentPoly({int(k): int(c) for k, c in p}) for x, p in row.items()}
+             for y, row in data.items()}
+        )
+
     def kl_poly(self, x: int, y: int) -> LaurentPoly:
         """p_{x,y}; zero unless x <= y, with p_{x,x} = 1."""
         return self.kl_basis_element(y).get(x, LaurentPoly())

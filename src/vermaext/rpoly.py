@@ -24,15 +24,22 @@ _ZERO = LaurentPoly()
 
 
 class RTable:
-    """Memoized ordinary R-polynomials for one Coxeter system.
-
-    Concurrent reads are safe and duplicated computation is benign: entries
-    are deterministic and inserted whole.
-    """
+    """Memoized ordinary R-polynomials for one Coxeter system."""
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
         self._memo: dict[tuple[int, int], LaurentPoly] = {}
+
+    def export(self) -> dict:
+        """Every computed r_{x,y} as JSON data: {"x,y": [[exponent, coefficient], ...]}."""
+        return {"%d,%d" % key: p.items() for key, p in self._memo.items()}
+
+    def load(self, data: dict):
+        """Take in the entries of an export() snapshot."""
+        self._memo.update(
+            {tuple(int(i) for i in key.split(",")): LaurentPoly({int(k): int(c) for k, c in p})
+             for key, p in data.items()}
+        )
 
     def r_poly(self, x: int, y: int) -> LaurentPoly:
         """r_{x,y}.  Zero unless x >= y.
@@ -263,11 +270,3 @@ class ParabolicRTable:
         if tail:
             val = val + tail.shift(1) - tail.shift(-1)
         return val
-
-
-def sr_poly(rtable: RTable, parabolic: ParabolicSubset, x: int, y: int) -> LaurentPoly:
-    return ParabolicRTable(rtable, parabolic, "singular").poly(x, y)
-
-
-def pr_poly(rtable: RTable, parabolic: ParabolicSubset, x: int, y: int) -> LaurentPoly:
-    return ParabolicRTable(rtable, parabolic, "parabolic").poly(x, y)

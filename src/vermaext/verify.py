@@ -368,7 +368,3 @@ def run_suite(name: str) -> SuiteResult:
     if name not in SUITES:
         raise KeyError("unknown suite %r; available: %s" % (name, ", ".join(sorted(SUITES))))
     return SUITES[name]()
-
-
-def run_all() -> list[SuiteResult]:
-    return [SUITES[name]() for name in SUITES]

@@ -241,6 +241,41 @@ class TestDeterminismAndCache:
         )
         assert first == second
 
+    def test_snapshot_export_load_round_trip(self, capsys, tmp_path):
+        from vermaext.hecke import KLTable
+        from vermaext.rpoly import RTable
+
+        cache = tmp_path / "cache"
+        code, _ = capture(capsys, ["scan", "--type", "A3", "--cache-dir", str(cache)])
+        assert code == 0
+        assert os.listdir(cache) == ["tables-A3-v1.json"]  # no temporary file left
+        text = (cache / "tables-A3-v1.json").read_text()
+        data = json.loads(text)
+        sy = build_system("A3")
+        kl, rt = KLTable(sy), RTable(sy)
+        kl.load(data["kl"])
+        rt.load(data["r"])
+        assert len(data["kl"]) == sy.order and data["r"]
+        again = dict(data, kl=kl.export(), r=rt.export())
+        assert json.dumps(again, sort_keys=True) == text
+        fresh_kl, fresh_rt = KLTable(sy), RTable(sy)
+        for y in range(sy.order):
+            for x in range(sy.order):
+                assert kl.kl_poly(x, y) == fresh_kl.kl_poly(x, y)
+                assert rt.r_poly(x, y) == fresh_rt.r_poly(x, y)
+
+    def test_output_directory_is_usage_error(self, capsys, tmp_path):
+        code = run(["group", "--type", "A2", "--output", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_cache_dir_regular_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "plain"
+        path.write_text("")
+        code = run(["kl", "--type", "A2", "--cache-dir", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"
         code, _ = capture(

@@ -146,22 +146,28 @@ class TestBruhat:
                 for u in range(a3.order)
             )
 
-    def test_dense_matches_recursion(self):
-        sy = build_system("B2")
-        dense = [
-            (x, y, sy.bruhat_leq(x, y)) for x in range(sy.order) for y in range(sy.order)
-        ]
-        sy2 = build_system("B2")
-        sy2._bruhat_dense = None
-        import vermaext.coxeter as cox
+    @pytest.mark.parametrize("label", ["G2", "B2", "A3", "B3"])
+    def test_matches_subword_property(self, label):
+        # x <= y iff x is the product of a subword of a reduced word of y
+        sy = build_system(label)
+        for y in range(sy.order):
+            below = {0}
+            for j in sy.canonical_words[y]:
+                below |= {sy.right[j][u] for u in below}
+            for x in range(sy.order):
+                assert sy.bruhat_leq(x, y) == (x in below), (x, y)
+            assert sy.bruhat_downset(y) == sorted(below)
 
-        old = cox.DENSE_BRUHAT_MAX
-        cox.DENSE_BRUHAT_MAX = 0  # force the memoized recursion path
-        try:
-            for x, y, want in dense:
-                assert sy2.bruhat_leq(x, y) == want
-        finally:
-            cox.DENSE_BRUHAT_MAX = old
+    @pytest.mark.parametrize("label,pairs", [("B4", 40_249), ("F4", 396_809)])
+    def test_comparable_pair_counts(self, label, pairs):
+        assert len(build_system(label).comparable_pairs()) == pairs
+
+    def test_rows_built_lazily(self):
+        sy = build_system("F4")
+        y = sy.w0
+        before = len(sy._rows)
+        assert sy.bruhat_leq(sy.element("s1*s3"), y)
+        assert len(sy._rows) - before <= sy.lengths[y] + 1
 
     def test_preserved_by_w0_conjugation(self, a3):
         for x in range(a3.order):
