@@ -5,13 +5,23 @@ predict, classes, verify.  Elements are written "e", "w0" or generator words
 like "s1*s2*s1" (types A/D/E use s1..sn, B3 uses s0,s1,s2; A3 also accepts
 the letters r, s, t).  Output is deterministic: elements are printed by their
 canonical words, tables are sorted by (length, index), and JSON carries no
-timestamps.  Exit codes: 0 success, 1 verification failure, 2 usage errors
-(an unusable --output or --cache-dir path among them).
+timestamps.
+
+Every command runs the same way: its handler computes and returns the output
+text, and run() writes it.  Table commands get the group and its KL and R
+tables from _tables(), which reads the --cache-dir snapshot before any work
+and rewrites it only when the command computed new entries.  Output is
+written after the snapshot is saved, so an unusable cache directory or a
+malformed snapshot ends in an error before any output.  rpoly --expected
+needs --table.  Exit codes: 0 success, 1 verification failure, 2 usage
+errors (an unusable --output or --cache-dir path and a malformed snapshot
+among them).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -40,37 +50,36 @@ CACHE_VERSION = 1
 TABLE_EMIT_CAP = 120
 
 
-def _build(args) -> CoxeterSystem:
-    return build_system(args.type, cap=args.cap)
+@contextlib.contextmanager
+def _tables(args):
+    """The group of --type/--cap with its KL and R tables, as (system, kl, rt).
 
-
-def _cache_path(cache_dir: str, system: CoxeterSystem) -> str:
-    return os.path.join(cache_dir, "tables-%s-v%d.json" % (system.type_label, CACHE_VERSION))
-
-
-def _tables(system: CoxeterSystem, cache_dir: str | None):
-    """KL and R tables, prefilled from a cache snapshot when one exists."""
-    kl = KLTable(system)
-    rt = RTable(system)
+    Under --cache-dir the directory is made and the snapshot read before the
+    body runs; when the body ends normally and the tables gained entries, the
+    snapshot is rewritten through a temporary file of its own, so concurrent
+    writers never share one.
+    """
+    system = build_system(args.type, cap=args.cap)
+    kl, rt = KLTable(system), RTable(system)
+    cache_dir = args.cache_dir
     if cache_dir:
-        path = _cache_path(cache_dir, system)
+        os.makedirs(cache_dir, exist_ok=True)
+        path = os.path.join(cache_dir, "tables-%s-v%d.json" % (system.type_label, CACHE_VERSION))
         if os.path.exists(path):
             with open(path) as fh:
-                data = json.load(fh)
-            if data.get("version") == CACHE_VERSION and data.get("type") == system.type_label:
-                kl.load(data["kl"])
-                rt.load(data["r"])
-    return kl, rt
-
-
-def _save_tables(system: CoxeterSystem, kl: KLTable, rt: RTable, cache_dir: str | None):
-    if not cache_dir:
+                try:
+                    data = json.load(fh)
+                    if data.get("version") == CACHE_VERSION and data.get("type") == system.type_label:
+                        kl.load(data["kl"])
+                        rt.load(data["r"])
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    raise ValueError("cache snapshot %s is malformed: %s" % (path, exc)) from None
+    before = kl.size() + rt.size()
+    yield system, kl, rt
+    if not cache_dir or kl.size() + rt.size() == before:
         return
-    os.makedirs(cache_dir, exist_ok=True)
     data = {"version": CACHE_VERSION, "type": system.type_label,
             "kl": kl.export(), "r": rt.export()}
-    path = _cache_path(cache_dir, system)
-    # a temporary file of its own, so concurrent writers never share one
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=os.path.basename(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -79,14 +88,6 @@ def _save_tables(system: CoxeterSystem, kl: KLTable, rt: RTable, cache_dir: str 
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-def _emit(args, text: str):
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
 
 
 def _poly_out(args, poly) -> str:
@@ -152,13 +153,12 @@ def emit_table(kind: str, system: CoxeterSystem, fmt: str, rt=None, J: str = "")
     return "\n".join(lines)
 
 
-def _emit_records(args, payload, lines, empty: str = ""):
-    """Write a record or a list of rows: the payload as JSON under
-    --format json, otherwise the text lines (csv prints the text form too)."""
+def _records(args, payload, lines, empty: str = "") -> str:
+    """A record or a list of rows: the payload as JSON under --format json,
+    otherwise the text lines (csv prints the text form too)."""
     if args.format == "json":
-        _emit(args, json.dumps(payload, sort_keys=True))
-    else:
-        _emit(args, "\n".join(lines) or empty)
+        return json.dumps(payload, sort_keys=True)
+    return "\n".join(lines) or empty
 
 
 def _info_lines(info: dict):
@@ -168,8 +168,8 @@ def _info_lines(info: dict):
 # -- subcommand handlers ---------------------------------------------------------
 
 
-def cmd_group(args) -> int:
-    sy = _build(args)
+def cmd_group(args) -> str:
+    sy = build_system(args.type, cap=args.cap)
     info = {
         "type": sy.type_label,
         "rank": sy.rank,
@@ -178,58 +178,47 @@ def cmd_group(args) -> int:
         "longest_length": sy.lengths[sy.w0],
         "longest_word": sy.word_name(sy.w0),
     }
-    _emit_records(args, info, _info_lines(info))
-    return 0
+    return _records(args, info, _info_lines(info))
 
 
-def cmd_kl(args) -> int:
-    sy = _build(args)
-    kl, rt = _tables(sy, args.cache_dir)
-    if args.nontrivial_from is not None:
-        x = sy.element(args.nontrivial_from)
-        rows = [(sy.word_name(y), p) for y, p in kl.nontrivial_from(x)]
-        _emit_records(args, [{"y": y, "p": p.to_json()} for y, p in rows],
-                      ["%s: %s" % row for row in rows], empty="(none)")
-    else:
+def cmd_kl(args) -> str:
+    with _tables(args) as (sy, kl, _):
+        if args.nontrivial_from is not None:
+            x = sy.element(args.nontrivial_from)
+            rows = [(sy.word_name(y), p) for y, p in kl.nontrivial_from(x)]
+            return _records(args, [{"y": y, "p": p.to_json()} for y, p in rows],
+                            ["%s: %s" % row for row in rows], empty="(none)")
         x, y = sy.element(getattr(args, "from")), sy.element(args.to)
-        _emit(args, _poly_out(args, kl.kl_poly(x, y)))
-    _save_tables(sy, kl, rt, args.cache_dir)
-    return 0
+        return _poly_out(args, kl.kl_poly(x, y))
 
 
-def cmd_rpoly(args) -> int:
+def cmd_rpoly(args) -> str:
+    if args.expected and not args.table:
+        raise ValueError("--expected needs --table")
     if canonical_label(args.type) == "E7":
         return _rpoly_e7_reference(args)
-    sy = _build(args)
-    kl, rt = _tables(sy, args.cache_dir)
-    if args.table:
-        kind = "expected" if args.expected else "rpoly"
-        _emit(args, emit_table(kind, sy, args.format, rt=rt))
-    else:
+    with _tables(args) as (sy, _, rt):
+        if args.table:
+            return emit_table("expected" if args.expected else "rpoly", sy, args.format, rt=rt)
         x, y = sy.element(getattr(args, "from")), sy.element(args.to)
-        _emit(args, _poly_out(args, rt.r_poly(x, y)))
-    _save_tables(sy, kl, rt, args.cache_dir)
-    return 0
+        return _poly_out(args, rt.r_poly(x, y))
 
 
-def _rpoly_e7_reference(args) -> int:
+def _rpoly_e7_reference(args) -> str:
     """E7 is far above the enumeration cap; the (w0, e) coefficient list is
     served from the stored reference data, never recomputed.  Any other
     pair, and any --table, is refused."""
     if args.table or (getattr(args, "from"), args.to) != ("w0", "e"):
-        print(
+        raise ValueError(
             "E7 is not enumerated (order 2903040 exceeds the cap); there is no "
-            "E7 table, only the stored reference pair (w0, e).",
-            file=sys.stderr,
+            "E7 table, only the stored reference pair (w0, e)."
         )
-        return 2
     coeffs = refdata.E7_R_W0_E
     poly = LaurentPoly({-63 + 2 * i: c for i, c in enumerate(coeffs)})
     out = _poly_out(args, poly)
     if args.format != "json":
         out += "\n(reference data; not recomputed)"
-    _emit(args, out)
-    return 0
+    return out
 
 
 def _parse_J(sy: CoxeterSystem, raw: str):
@@ -238,60 +227,42 @@ def _parse_J(sy: CoxeterSystem, raw: str):
     return tuple(sorted(sy.gen_index(tok) for tok in raw.split(",")))
 
 
-def cmd_prpoly(args) -> int:
-    return _parabolic_common(args, "parabolic")
-
-
-def cmd_srpoly(args) -> int:
-    return _parabolic_common(args, "singular")
-
-
-def _parabolic_common(args, kind: str) -> int:
-    sy = _build(args)
-    kl, rt = _tables(sy, args.cache_dir)
-    if args.table:
-        _emit(args, emit_table(kind, sy, args.format, rt=rt, J=args.J))
-    else:
-        table = ParabolicRTable(rt, sy.parabolic(_parse_J(sy, args.J)), kind)
+def cmd_coset(args) -> str:
+    """prpoly and srpoly: R-polynomials of kind args.kind ('parabolic' or
+    'singular') over the minimal coset representatives for --J."""
+    with _tables(args) as (sy, _, rt):
+        if args.table:
+            return emit_table(args.kind, sy, args.format, rt=rt, J=args.J)
+        table = ParabolicRTable(rt, sy.parabolic(_parse_J(sy, args.J)), args.kind)
         x, y = sy.element(getattr(args, "from")), sy.element(args.to)
-        _emit(args, _poly_out(args, table.poly(x, y)))
-    _save_tables(sy, kl, rt, args.cache_dir)
-    return 0
+        return _poly_out(args, table.poly(x, y))
 
 
-def cmd_bound(args) -> int:
-    sy = _build(args)
-    kl, rt = _tables(sy, args.cache_dir)
-    bound = kl_bound_poly(kl, sy.element(args.target), sy.element(args.source))
-    _emit(args, _poly_out(args, bound))
-    _save_tables(sy, kl, rt, args.cache_dir)
-    return 0
+def cmd_bound(args) -> str:
+    with _tables(args) as (sy, kl, _):
+        return _poly_out(args, kl_bound_poly(kl, sy.element(args.target), sy.element(args.source)))
 
 
-def cmd_grid(args) -> int:
-    sy = _build(args)
-    kl, rt = _tables(sy, args.cache_dir)
-    grid = hom_grid(kl, sy.element(args.target), sy.element(args.source))
-    cells = grid.nonzero()
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["a", "b", "dim"])
-        writer.writerows(cells)
-        _emit(args, buf.getvalue().rstrip("\n"))
-    else:
-        _emit_records(
+def cmd_grid(args) -> str:
+    with _tables(args) as (sy, kl, _):
+        grid = hom_grid(kl, sy.element(args.target), sy.element(args.source))
+        cells = grid.nonzero()
+        if args.format == "csv":
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["a", "b", "dim"])
+            writer.writerows(cells)
+            return buf.getvalue().rstrip("\n")
+        return _records(
             args,
             {"target": sy.word_name(grid.target), "source": sy.word_name(grid.source),
              "cells": [[a, b, v] for a, b, v in cells]},
             ["(%d, %d): %d" % c for c in cells],
         )
-    _save_tables(sy, kl, rt, args.cache_dir)
-    return 0
 
 
-def cmd_triangle(args) -> int:
-    sy = _build(args)
+def cmd_triangle(args) -> str:
+    sy = build_system(args.type, cap=args.cap)
     region = triangle_region(sy, sy.element(getattr(args, "from")), sy.element(args.to))
     rows = [
         {"a": p.a, "b": p.b,
@@ -299,36 +270,32 @@ def cmd_triangle(args) -> int:
                   "expected" if p.expected else "interior")}
         for p in region.points
     ]
-    _emit_records(args, {"d": region.d, "points": rows},
-                  ["(%d, %d) %s" % (r["a"], r["b"], r["kind"]) for r in rows])
-    return 0
+    return _records(args, {"d": region.d, "points": rows},
+                    ["(%d, %d) %s" % (r["a"], r["b"], r["kind"]) for r in rows])
 
 
-def cmd_scan(args) -> int:
-    sy = _build(args)
-    kl, rt = _tables(sy, args.cache_dir)
-    partition = equiv_classes(sy)
-    report = all_expected_predicate(sy, kl=kl, rt=rt, partition=partition)
-    name = sy.word_name
-    violations = [(name(x), name(y), bad) for x, y, bad in report.sign_violations]
-    uncertified = [(name(x), name(y)) for x, y in report.uncertified]
-    lines = ["%s: %d comparable pairs" % (sy.type_label, len(partition.pairs))]
-    lines.append("all extensions expected: %s" % ("yes" if report.verdict else "no"))
-    lines.extend("sign violation (%s, %s) at %s" % row for row in violations)
-    lines.extend("no certificate for (%s, %s)" % row for row in uncertified)
-    _emit_records(args, {
-        "type": sy.type_label,
-        "pairs": len(partition.pairs),
-        "verdict": report.verdict,
-        "sign_violations": [{"x": x, "y": y, "exponents": bad} for x, y, bad in violations],
-        "uncertified": [{"x": x, "y": y} for x, y in uncertified],
-    }, lines)
-    _save_tables(sy, kl, rt, args.cache_dir)
-    return 0
+def cmd_scan(args) -> str:
+    with _tables(args) as (sy, kl, rt):
+        partition = equiv_classes(sy)
+        report = all_expected_predicate(sy, kl=kl, rt=rt, partition=partition)
+        name = sy.word_name
+        violations = [(name(x), name(y), bad) for x, y, bad in report.sign_violations]
+        uncertified = [(name(x), name(y)) for x, y in report.uncertified]
+        lines = ["%s: %d comparable pairs" % (sy.type_label, len(partition.pairs))]
+        lines.append("all extensions expected: %s" % ("yes" if report.verdict else "no"))
+        lines.extend("sign violation (%s, %s) at %s" % row for row in violations)
+        lines.extend("no certificate for (%s, %s)" % row for row in uncertified)
+        return _records(args, {
+            "type": sy.type_label,
+            "pairs": len(partition.pairs),
+            "verdict": report.verdict,
+            "sign_violations": [{"x": x, "y": y, "exponents": bad} for x, y, bad in violations],
+            "uncertified": [{"x": x, "y": y} for x, y in uncertified],
+        }, lines)
 
 
-def cmd_predict(args) -> int:
-    sy = _build(args)
+def cmd_predict(args) -> str:
+    sy = build_system(args.type, cap=args.cap)
     w = sy.element(args.w)
     records = predict_ext1(sy, w)
     rows = [
@@ -338,17 +305,16 @@ def cmd_predict(args) -> int:
          "flag": "expected" if r.expected else "additional"}
         for r in records
     ]
-    _emit_records(args, rows, [
+    return _records(args, rows, [
         "%s: witness %s (i,j)=(%d,%d) degree %d shift %d [%s]"
         % (r["pen"], r["witness"], r["pair"][0], r["pair"][1],
            r["degree"], r["shift"], r["flag"])
         for r in rows
     ], empty="(no records)")
-    return 0
 
 
-def cmd_classes(args) -> int:
-    sy = _build(args)
+def cmd_classes(args) -> str:
+    sy = build_system(args.type, cap=args.cap)
     part = equiv_classes(sy)
     if args.pair:
         if args.pair.count(",") != 1:
@@ -359,28 +325,19 @@ def cmd_classes(args) -> int:
             raise ValueError("pair (%s, %s) needs x >= y in Bruhat order"
                              % (sy.word_name(x), sy.word_name(y)))
         rows = [[sy.word_name(a), sy.word_name(b)] for a, b in part.class_of(x, y)]
-        _emit_records(args, rows, ["(%s, %s)" % (a, b) for a, b in rows])
-    else:
-        info = {"type": sy.type_label, "pairs": len(part.pairs),
-                "classes": len(part.classes), "sizes": part.class_sizes()}
-        _emit_records(args, info, _info_lines(info))
-    return 0
+        return _records(args, rows, ["(%s, %s)" % (a, b) for a, b in rows])
+    info = {"type": sy.type_label, "pairs": len(part.pairs),
+            "classes": len(part.classes), "sizes": part.class_sizes()}
+    return _records(args, info, _info_lines(info))
 
 
-def cmd_verify(args) -> int:
-    names = sorted(SUITES) if args.all else [args.suite]
+def cmd_verify(args) -> tuple[str, bool]:
+    """The report of the named suite, or of every suite, and whether all passed."""
     if not args.all and args.suite not in SUITES:
-        print("unknown suite %r; available: %s" % (args.suite, ", ".join(sorted(SUITES))),
-              file=sys.stderr)
-        return 2
-    failed = False
-    out = []
-    for name in names:
-        result = run_suite(name)
-        out.extend(result.report_lines())
-        failed = failed or not result.passed
-    _emit(args, "\n".join(out))
-    return 1 if failed else 0
+        raise ValueError("unknown suite %r; available: %s" % (args.suite, ", ".join(sorted(SUITES))))
+    results = [run_suite(name) for name in (sorted(SUITES) if args.all else [args.suite])]
+    report = "\n".join(line for result in results for line in result.report_lines())
+    return report, all(result.passed for result in results)
 
 
 def _add_common(p, *, needs_type=True):
@@ -424,21 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --table: expected-dimension table instead of R")
     p.set_defaults(func=cmd_rpoly)
 
-    p = sub.add_parser("prpoly", help="parabolic R-polynomials")
-    _add_common(p)
-    p.add_argument("--J", default="", help="comma-separated generators, e.g. s1,s2")
-    p.add_argument("--from", dest="from", default="e")
-    p.add_argument("--to", default="e")
-    p.add_argument("--table", action="store_true")
-    p.set_defaults(func=cmd_prpoly)
-
-    p = sub.add_parser("srpoly", help="singular R-polynomials")
-    _add_common(p)
-    p.add_argument("--J", default="", help="comma-separated generators, e.g. s1,s2")
-    p.add_argument("--from", dest="from", default="e")
-    p.add_argument("--to", default="e")
-    p.add_argument("--table", action="store_true")
-    p.set_defaults(func=cmd_srpoly)
+    for name, kind in (("prpoly", "parabolic"), ("srpoly", "singular")):
+        p = sub.add_parser(name, help="%s R-polynomials" % kind)
+        _add_common(p)
+        p.add_argument("--J", default="", help="comma-separated generators, e.g. s1,s2")
+        p.add_argument("--from", dest="from", default="e")
+        p.add_argument("--to", default="e")
+        p.add_argument("--table", action="store_true")
+        p.set_defaults(func=cmd_coset, kind=kind)
 
     p = sub.add_parser("bound", help="two-variable hom-dimension bound polynomial")
     _add_common(p)
@@ -482,17 +432,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    """Parse argv, run the handler and write its text to stdout or --output.
+
+    A handler's tables are saved before it returns, so nothing is written
+    when a command fails.  Exit code 0 success, 1 a failed verification,
+    2 an error, reported on stderr.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify" and not args.all and not args.suite:
         parser.error("verify needs --suite NAME or --all")
     try:
-        return args.func(args)
+        out = args.func(args)
+        text, passed = out if isinstance(out, tuple) else (out, True)
+        text = text if text.endswith("\n") else text + "\n"
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except BrokenPipeError:
         raise  # main() handles a reader that has gone away
     except (OSError, ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    return 0 if passed else 1
 
 
 def main():  # console entry point

@@ -157,6 +157,11 @@ class KLTable:
         return {str(y): {str(x): p.items() for x, p in row.items()}
                 for y, row in self._basis.items()}
 
+    def size(self) -> int:
+        """Number of computed b_y; a row is computed whole and never changes,
+        so this grows exactly when entries are added."""
+        return len(self._basis)
+
     def load(self, data: dict):
         """Take in the entries of an export() snapshot."""
         self._basis.update(

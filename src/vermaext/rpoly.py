@@ -34,6 +34,10 @@ class RTable:
         """Every computed r_{x,y} as JSON data: {"x,y": [[exponent, coefficient], ...]}."""
         return {"%d,%d" % key: p.items() for key, p in self._memo.items()}
 
+    def size(self) -> int:
+        """Number of computed r_{x,y}."""
+        return len(self._memo)
+
     def load(self, data: dict):
         """Take in the entries of an export() snapshot."""
         self._memo.update(

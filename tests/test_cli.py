@@ -124,6 +124,12 @@ class TestTableEmission:
 
             assert poly == RTable(sy).r_poly(sy.element(cell["x"]), sy.element(cell["y"]))
 
+    def test_expected_needs_table(self, capsys):
+        assert run(["rpoly", "--type", "A2", "--expected"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --expected needs --table\n"
+
     def test_expected_table(self, capsys):
         code, out = capture(
             capsys, ["rpoly", "--type", "A1", "--table", "--expected"]
@@ -272,9 +278,58 @@ class TestDeterminismAndCache:
     def test_cache_dir_regular_file_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "plain"
         path.write_text("")
-        code = run(["kl", "--type", "A2", "--cache-dir", str(path)])
+        argv = ["kl", "--type", "A2", "--from", "e", "--to", "s1", "--cache-dir", str(path)]
+        code = run(argv)
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no answer is printed before the failure
+        assert captured.err.startswith("error: ")
+        out_file = tmp_path / "F"
+        assert run(argv + ["--output", str(out_file)]) == 2
+        assert not out_file.exists()
+
+    def test_snapshot_rewritten_only_with_new_entries(self, capsys, tmp_path):
+        from vermaext.hecke import KLTable
+        from vermaext.rpoly import RTable
+
+        cache = tmp_path / "cache"
+        snapshot = cache / "tables-A3-v1.json"
+        kl_argv = ["kl", "--type", "A3", "--from", "e", "--to", "s2*s1*s3*s2",
+                   "--cache-dir", str(cache)]
+        first = capture(capsys, kl_argv)
+        inode = snapshot.stat().st_ino
+        assert capture(capsys, kl_argv) == first
+        assert snapshot.stat().st_ino == inode  # nothing new: not replaced
+        assert capture(capsys, ["rpoly", "--type", "A3", "--cache-dir", str(cache)])[0] == 0
+        assert snapshot.stat().st_ino != inode  # new R entries: rewritten
+        data = json.loads(snapshot.read_text())
+        sy = build_system("A3")
+        kl, rt = KLTable(sy), RTable(sy)
+        kl.load(data["kl"])
+        rt.load(data["r"])
+        assert rt.size() > 0
+        fresh_kl, fresh_rt = KLTable(sy), RTable(sy)
+        for y, row in data["kl"].items():
+            for x in row:
+                assert kl.kl_poly(int(x), int(y)) == fresh_kl.kl_poly(int(x), int(y))
+        for key in data["r"]:
+            x, y = map(int, key.split(","))
+            assert rt.r_poly(x, y) == fresh_rt.r_poly(x, y)
+
+    @pytest.mark.parametrize("snapshot", [
+        [],
+        {"version": 1, "type": "A2", "kl": [], "r": {}},
+        {"version": 1, "type": "A2", "kl": {"0": 5}, "r": {}},
+    ], ids=["top-level-list", "kl-list", "kl-row-int"])
+    def test_malformed_snapshot_is_usage_error(self, capsys, tmp_path, snapshot):
+        path = tmp_path / "tables-A2-v1.json"
+        path.write_text(json.dumps(snapshot))
+        code = run(["kl", "--type", "A2", "--from", "e", "--to", "s1",
+                    "--cache-dir", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cache snapshot %s is malformed: " % path)
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"
