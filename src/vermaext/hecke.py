@@ -11,7 +11,7 @@ projectives, which is what all the dimension bounds downstream consume.
 from __future__ import annotations
 
 from .coxeter import CoxeterSystem
-from .poly import ONE, LaurentPoly, V
+from .poly import ONE, LaurentPoly, PackedPolys
 
 
 class HeckeElement:
@@ -104,57 +104,72 @@ class KLTable:
     (multiply b_{ys} by b_s, subtract mu-corrections) using the
     lowest-numbered right descent, so results are deterministic.  An entry
     never changes once computed.
+
+    Rows are {x: int} with p_{x,y} a PackedPolys int in v with B = l(w0) + 1
+    bits per coefficient, so multiplying by v or v^-1 is << B or >> B; the
+    >> B is exact because p_{x,u} lies in vZ[v] for x < u.  Values stay
+    nonnegative (KL positivity; a partial mu-subtraction is at least the
+    final value), and max_x p_{x,y}(1) at most doubles per step, so every
+    coefficient is at most 2^l(w0) < 2^B.  HeckeElement and mult_by_gen stay
+    on LaurentPoly on purpose, as the independent route to b_y.
     """
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
-        self._basis: dict[int, dict[int, LaurentPoly]] = {0: {0: ONE}}
+        self._values = PackedPolys(system.lengths[system.w0] + 1,
+                                   lambda digits: LaurentPoly(enumerate(digits)), LaurentPoly.items)
+        self._basis: dict[int, dict[int, int]] = {0: {0: 1}}
         # extbounds.trivial_kl_certificate's answer per y, filled on request.
         self.trivial_certificates: dict[int, bool] = {}
 
-    def kl_basis_element(self, y: int) -> dict[int, LaurentPoly]:
+    def _row(self, y: int) -> dict[int, int]:
+        """b_y with packed coefficients."""
         hit = self._basis.get(y)
         if hit is not None:
             return hit
         sy = self.system
+        bits, mask = self._values.bits, self._values.mask
         s = min(sy.right_descents(y))
-        u = sy.right[s][y]
-        bu = self.kl_basis_element(u)
+        right, lengths = sy.right[s], sy.lengths
+        bu = self._row(right[y])  # b_u for u = ys
 
         # b_u * b_s  =  b_u * h_s + v * b_u
         prod = {}
         for x, p in bu.items():
-            xs = sy.right[s][x]
+            xs = right[x]
             q = prod.get(xs)
             prod[xs] = p if q is None else q + p
-            extra = p * V if sy.lengths[xs] > sy.lengths[x] else p * LaurentPoly({-1: 1})
+            if lengths[xs] > lengths[x]:
+                extra = p << bits
+            else:
+                assert not p & mask, "p_{x,u} for x < u lies in vZ[v]"
+                extra = p >> bits
             q = prod.get(x)
-            q = extra if q is None else q + extra
-            if q:
-                prod[x] = q
-            elif x in prod:
-                del prod[x]
+            prod[x] = extra if q is None else q + extra
 
-        # subtract mu(z, u) * b_z over z < u with zs < z
-        for z, p in list(bu.items()):
-            if z == u:
-                continue
-            mu = p.coeff(1)
-            if mu and sy.lengths[sy.right[s][z]] < sy.lengths[z]:
-                for x, q in self.kl_basis_element(z).items():
-                    r = prod.get(x)
-                    r = (q * -mu) if r is None else r - q * mu
+        # subtract mu(z, u) * b_z over z < u with zs < z (mu(u, u) = 0); every partial
+        # difference is at least the nonnegative final value, so no digit borrows
+        for z, p in bu.items():
+            mu = (p >> bits) & mask
+            if mu and lengths[right[z]] < lengths[z]:
+                for x, q in self._row(z).items():
+                    r = prod.get(x, 0) - q * mu
                     if r:
                         prod[x] = r
-                    elif x in prod:
-                        del prod[x]
+                    else:
+                        prod.pop(x, None)
 
         self._basis[y] = prod
         return prod
 
+    def kl_basis_element(self, y: int) -> dict[int, LaurentPoly]:
+        poly = self._values.poly
+        return {x: poly(p) for x, p in self._row(y).items()}
+
     def export(self) -> dict:
         """Every computed b_y as JSON data: {"y": {"x": [[exponent, coefficient], ...]}}."""
-        return {str(y): {str(x): p.items() for x, p in row.items()}
+        poly = self._values.poly
+        return {str(y): {str(x): poly(p).items() for x, p in row.items()}
                 for y, row in self._basis.items()}
 
     def size(self) -> int:
@@ -163,45 +178,39 @@ class KLTable:
         return len(self._basis)
 
     def load(self, data: dict):
-        """Take in the entries of an export() snapshot."""
-        self._basis.update(
-            {int(y): {int(x): LaurentPoly({int(k): int(c) for k, c in p}) for x, p in row.items()}
-             for y, row in data.items()}
-        )
+        """Take in the entries of an export() snapshot.  Raises ValueError for
+        a value that does not fit the packed form, and for p_{x,y} with x != y
+        outside vZ[v]."""
+        pack, mask = self._values.pack, self._values.mask
+        for y, row in data.items():
+            packed = {int(x): pack(p) for x, p in row.items()}
+            if any(p & mask for x, p in packed.items() if x != int(y)):
+                raise ValueError("row %s has p_{x,y} outside vZ[v] for some x != y" % y)
+            self._basis[int(y)] = packed
 
     def kl_poly(self, x: int, y: int) -> LaurentPoly:
         """p_{x,y}; zero unless x <= y, with p_{x,x} = 1."""
-        return self.kl_basis_element(y).get(x, LaurentPoly())
+        return self._values.poly(self._row(y).get(x, 0))
 
     def mu(self, x: int, y: int) -> int:
         """Coefficient of v in p_{x,y}, the correction term of the induction."""
-        return self.kl_poly(x, y).coeff(1)
+        return (self._row(y).get(x, 0) >> self._values.bits) & self._values.mask
 
     def nontrivial_from(self, x: int) -> list[tuple[int, LaurentPoly]]:
         """All y >= x whose p_{x,y} is not the single monomial v^(l(y)-l(x))."""
-        sy = self.system
-        out = []
-        for y in range(sy.order):
-            p = self.kl_poly(x, y)
-            if not p:
-                continue
-            d = sy.lengths[y] - sy.lengths[x]
-            if p != LaurentPoly({d: 1}):
-                out.append((y, p))
-        out.sort(key=lambda t: (sy.lengths[t[0]], t[0]))
-        return out
+        ys = sorted(range(self.system.order), key=lambda y: (self.system.lengths[y], y))
+        return [(y, self.kl_poly(x, y)) for y in ys if not self.is_trivial(x, y)]
 
     def is_trivial(self, x: int, y: int) -> bool:
         """True when p_{x,y} is zero or the expected top monomial alone."""
-        p = self.kl_poly(x, y)
-        if not p:
-            return True
-        return p == LaurentPoly({self.system.lengths[y] - self.system.lengths[x]: 1})
+        p = self._row(y).get(x, 0)
+        lengths = self.system.lengths
+        return not p or p == 1 << (self._values.bits * (lengths[y] - lengths[x]))
 
     def fill_all(self):
         """Precompute the whole triangular table (small groups only)."""
         for y in sorted(range(self.system.order), key=lambda w: self.system.lengths[w]):
-            self.kl_basis_element(y)
+            self._row(y)
 
     def standard_in_kl_basis(self, w: int) -> dict[int, LaurentPoly]:
         """Expand h_w as a combination of canonical basis elements.
@@ -230,4 +239,4 @@ class KLTable:
 
 def kl_element(table: KLTable, w: int) -> HeckeElement:
     """The canonical basis element b_w as a HeckeElement."""
-    return HeckeElement(table.system, dict(table.kl_basis_element(w)))
+    return HeckeElement(table.system, table.kl_basis_element(w))

@@ -1,9 +1,9 @@
-"""Sparse integer Laurent polynomials in v, and polynomials in two variables.
+"""Sparse integer Laurent polynomials in v, polynomials in two variables, and
+the packed-int form the Kazhdan-Lusztig and R-polynomial tables compute in.
 
 Everything here is exact: coefficients are Python ints (arbitrary precision),
-zero coefficients are never stored, and equality is structural.  These are the
-scalars for all the Kazhdan-Lusztig and R-polynomial tables, so there is no
-floating point anywhere.
+zero coefficients are never stored, and equality is structural.  The tables
+hand out LaurentPoly values, so there is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -37,16 +37,8 @@ class LaurentPoly:
         self._terms = clean
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
-        return cls({exp: coeff})
 
     @classmethod
     def v(cls, exp: int = 1) -> "LaurentPoly":
@@ -198,9 +190,52 @@ class LaurentPoly:
         return " ".join(bits)
 
 
-ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
-V = LaurentPoly({1: 1})
+
+
+class PackedPolys:
+    """Polynomials with coefficients in [0, 2^bits), packed into Python ints.
+
+    c_0 + c_1 t + c_2 t^2 + ... packs to sum_k c_k 2^(bits k), so packed
+    values add coefficientwise and << bits, >> bits multiply and divide by
+    t, as long as every coefficient stays in range.  ``decode`` maps the
+    digits [c_0, c_1, ...] to the LaurentPoly a value stands for; ``encode``
+    maps a LaurentPoly back to (k, c_k) pairs or raises ValueError.  Each
+    distinct packed value is decoded once and the LaurentPoly interned.
+    """
+
+    def __init__(self, bits: int, decode, encode):
+        self.bits, self.mask = bits, (1 << bits) - 1
+        self._decode, self._encode = decode, encode
+        self._polys: dict[int, LaurentPoly] = {}
+        self._packed: dict[tuple, int] = {}  # JSON terms -> packed value
+
+    def poly(self, n: int) -> LaurentPoly:
+        """The interned LaurentPoly of the packed value n >= 0."""
+        p = self._polys.get(n)
+        if p is None:
+            digits = [(n >> k) & self.mask for k in range(0, n.bit_length(), self.bits)]
+            p = self._polys[n] = self._decode(digits)
+        return p
+
+    def pack(self, terms) -> int:
+        """The packed value of JSON data [[exponent, coefficient], ...]; raises
+        ValueError unless every |exponent| < bits and the encoded coefficients
+        lie in [0, 2^bits) at exponents >= 0."""
+        key = tuple(map(tuple, terms))
+        n = self._packed.get(key)
+        if n is None:
+            p = LaurentPoly((int(k), int(c)) for k, c in key)
+            if p and max(map(abs, p.degree_span())) >= self.bits:
+                raise ValueError("%s has a degree beyond %d" % (p, self.bits - 1))
+            n = 0
+            for k, c in self._encode(p):
+                if k < 0 or not 0 <= c <= self.mask:
+                    raise ValueError("%s does not fit %d-bit packed coefficients" % (p, self.bits))
+                n |= c << (self.bits * k)
+            self._packed[key] = n
+            self._polys.setdefault(n, p)
+        return n
 
 
 class BiPoly:
@@ -224,14 +259,6 @@ class BiPoly:
                     elif k in clean:
                         del clean[k]
         self._terms = clean
-
-    @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "BiPoly":
-        return cls({(0, 0): 1})
 
     @classmethod
     def from_uv_product(cls, pu: LaurentPoly, pv: LaurentPoly) -> "BiPoly":

@@ -14,35 +14,71 @@ compatibility detector and the expected-dimension reconstruction assume.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from .coxeter import CoxeterSystem, ParabolicSubset
 from .hecke import KLTable
-from .poly import ONE, LaurentPoly
+from .poly import ONE, LaurentPoly, PackedPolys
 
 _ZERO = LaurentPoly()
+_T = LaurentPoly({1: 1, -1: -1})  # t = v - v^-1
+
+
+@functools.cache
+def _t_power(k: int) -> LaurentPoly:
+    return ONE if k == 0 else _t_power(k - 1) * _T
+
+
+def _from_t(digits: list[int]) -> LaurentPoly:
+    """R~(v - v^-1) from the coefficients of R~, lowest first."""
+    return sum((c * _t_power(k) for k, c in enumerate(digits) if c), _ZERO)
+
+
+def _to_t(p: LaurentPoly) -> list[tuple[int, int]]:
+    """The (k, c_k) of R~ with p = R~(v - v^-1), peeling off the top degree."""
+    out = []
+    while p:
+        d, c = p.items()[-1]
+        if d < 0:
+            raise ValueError("%s is not a polynomial in v - v^-1" % p)
+        out.append((d, c))
+        p = p - c * _t_power(d)
+    return out
 
 
 class RTable:
-    """Memoized ordinary R-polynomials for one Coxeter system."""
+    """Memoized ordinary R-polynomials for one Coxeter system.
+
+    The memo holds R~_{x,y}, with r_{x,y}(v) = R~_{x,y}(v - v^-1), as a
+    PackedPolys int in t = v - v^-1 with B = l(w0) + 1 bits per coefficient.
+    In t the recursion of r_poly only adds nonnegative values:
+    R~_{x,y} = R~_{xs,ys} + t R~_{x,ys}.  It is l(w0) - l(y) steps deep and
+    each step at most doubles R~(1), so every coefficient is at most
+    2^l(w0) < 2^B.  r_poly_random_ascents, r_oracle_table and ParabolicRTable
+    stay on LaurentPoly on purpose, as independent routes.
+    """
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
-        self._memo: dict[tuple[int, int], LaurentPoly] = {}
+        self._memo: dict[tuple[int, int], int] = {}
+        self._values = PackedPolys(system.lengths[system.w0] + 1, _from_t, _to_t)
 
     def export(self) -> dict:
         """Every computed r_{x,y} as JSON data: {"x,y": [[exponent, coefficient], ...]}."""
-        return {"%d,%d" % key: p.items() for key, p in self._memo.items()}
+        poly = self._values.poly
+        return {"%d,%d" % key: poly(n).items() for key, n in self._memo.items()}
 
     def size(self) -> int:
         """Number of computed r_{x,y}."""
         return len(self._memo)
 
     def load(self, data: dict):
-        """Take in the entries of an export() snapshot."""
+        """Take in the entries of an export() snapshot.  Raises ValueError for
+        a value that is not R~(v - v^-1) with R~ fitting the packed form."""
+        pack = self._values.pack
         self._memo.update(
-            {tuple(int(i) for i in key.split(",")): LaurentPoly({int(k): int(c) for k, c in p})
-             for key, p in data.items()}
+            {tuple(int(i) for i in key.split(",")): pack(p) for key, p in data.items()}
         )
 
     def r_poly(self, x: int, y: int) -> LaurentPoly:
@@ -53,40 +89,25 @@ class RTable:
             r_{x,y} = r_{xs,ys}                       if xs > x,
             r_{x,y} = r_{xs,ys} + (v - v^-1) r_{x,ys} if xs < x.
         """
+        return self._values.poly(self._rt(x, y))
+
+    def _rt(self, x: int, y: int) -> int:
+        """R~_{x,y} packed; the recursion of r_poly read in t = v - v^-1."""
         sy = self.system
         if not sy.bruhat_leq(y, x):
-            return _ZERO
+            return 0
         if x == y:
-            return ONE
-        memo = self._memo
-        key = (x, y)
-        hit = memo.get(key)
+            return 1
+        hit = self._memo.get((x, y))
         if hit is not None:
             return hit
-        # y != w0 here: y < x <= w0.
-        s = self._lowest_ascent(y)
-        val = self._step(x, y, s)
-        memo[key] = val
-        return val
-
-    def _lowest_ascent(self, y: int) -> int:
-        sy = self.system
-        ly = sy.lengths[y]
-        for s in range(sy.rank):
-            if sy.lengths[sy.right[s][y]] > ly:
-                return s
-        raise AssertionError("only w0 has no ascent")
-
-    def _step(self, x: int, y: int, s: int) -> LaurentPoly:
-        sy = self.system
-        xs = sy.right[s][x]
-        ys = sy.right[s][y]
-        if sy.lengths[xs] > sy.lengths[x]:
-            return self.r_poly(xs, ys)
-        tail = self.r_poly(x, ys)
-        val = self.r_poly(xs, ys)
-        if tail:
-            val = val + tail.shift(1) - tail.shift(-1)
+        # y < x <= w0 here, so y has an ascent
+        s = next(s for s in range(sy.rank) if sy.lengths[sy.right[s][y]] > sy.lengths[y])
+        xs, ys = sy.right[s][x], sy.right[s][y]
+        val = self._rt(xs, ys)
+        if sy.lengths[xs] < sy.lengths[x]:
+            val += self._rt(x, ys) << self._values.bits
+        self._memo[x, y] = val
         return val
 
     def r_poly_random_ascents(self, x: int, y: int, rng: random.Random) -> LaurentPoly:
@@ -111,13 +132,9 @@ class RTable:
             s = rng.choice(ascents)
             asx = sy.right[s][a]
             bs = sy.right[s][b]
-            if sy.lengths[asx] > sy.lengths[a]:
-                val = rec(asx, bs)
-            else:
-                val = rec(asx, bs)
-                tail = rec(a, bs)
-                if tail:
-                    val = val + tail.shift(1) - tail.shift(-1)
+            val = rec(asx, bs)
+            if sy.lengths[asx] < sy.lengths[a]:
+                val = val + rec(a, bs) * _T
             memo[(a, b)] = val
             return val
 
@@ -267,10 +284,7 @@ class ParabolicRTable:
         if xs not in self._rep_set:
             parent = self.poly(x, ys)
             return LaurentPoly({-1: -1}) * parent
-        if sy.lengths[xs] > sy.lengths[x]:
-            return self.poly(xs, ys)
         val = self.poly(xs, ys)
-        tail = self.poly(x, ys)
-        if tail:
-            val = val + tail.shift(1) - tail.shift(-1)
+        if sy.lengths[xs] < sy.lengths[x]:
+            val = val + self.poly(x, ys) * _T
         return val

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -326,6 +327,42 @@ class TestDeterminismAndCache:
         path.write_text(json.dumps(snapshot))
         code = run(["kl", "--type", "A2", "--from", "e", "--to", "s1",
                     "--cache-dir", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cache snapshot %s is malformed: " % path)
+
+    # A2 has l(w0) = 3, so its tables pack coefficients in 4 bits.
+    @pytest.mark.parametrize("kl, r", [
+        ({"1": {"0": [[1, -1]], "1": [[0, 1]]}}, {}),
+        ({"1": {"0": [[-1, 1]], "1": [[0, 1]]}}, {}),
+        ({"1": {"0": [[1, 16]], "1": [[0, 1]]}}, {}),
+        ({"1": {"0": [[40, 1]], "1": [[0, 1]]}}, {}),
+        ({"1": {"0": [[0, 1]], "1": [[0, 1]]}}, {}),
+        ({}, {"1,0": [[-1, 1], [1, -1]]}),
+        ({}, {"1,0": [[0, 16]]}),
+        ({}, {"1,0": [[1, 1]]}),
+    ], ids=["kl-negative-coefficient", "kl-negative-exponent", "kl-coefficient-2^B",
+            "kl-degree-beyond-l(w0)", "kl-constant-term-below-diagonal",
+            "r-negative-coefficient", "r-coefficient-2^B", "r-not-in-v-minus-v^-1"])
+    def test_unpackable_snapshot_value_is_usage_error(self, capsys, tmp_path, kl, r):
+        path = tmp_path / "tables-A2-v1.json"
+        path.write_text(json.dumps({"version": 1, "type": "A2", "kl": kl, "r": r}))
+        if kl:  # the KL induction builds on the edited row
+            argv = ["kl", "--type", "A2", "--from", "e", "--to", "w0"]
+        else:  # the edited entry is the answer
+            argv = ["rpoly", "--type", "A2", "--from", "s1", "--to", "e"]
+
+        def timed_out(signum, frame):
+            pytest.fail("the command did not finish within 10 s")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(10)
+        try:
+            code = run(argv + ["--cache-dir", str(tmp_path)])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""

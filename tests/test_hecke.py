@@ -134,6 +134,22 @@ class TestInvariants:
                 assert p == kl.kl_poly(sy.inverse[x], sy.inverse[y])
                 assert p == kl.kl_poly(sy.conj_w0(x), sy.conj_w0(y))
 
+    def test_b4_matches_hecke_route(self):
+        # b_u b_s = b_y + sum over z < u with zs < z of mu(z, u) b_z, with u = ys,
+        # in HeckeElement arithmetic only; s is the highest right descent of y,
+        # where the table's induction takes the lowest
+        sy = build_system("B4")
+        kl = KLTable(sy)
+        for y in range(1, sy.order):
+            s = max(sy.right_descents(y))
+            u = sy.right[s][y]
+            bu = kl_element(kl, u)
+            route = mult_by_gen(bu, s) + bu.scale(lp({1: 1}))
+            for z, p in bu.coeffs.items():
+                if z != u and p.coeff(1) and sy.lengths[sy.right[s][z]] < sy.lengths[z]:
+                    route = route - kl_element(kl, z).scale(p.coeff(1))
+            assert route == kl_element(kl, y), sy.word_name(y)
+
     def test_inversion_round_trip(self, a3, kl3):
         for w in range(a3.order):
             expansion = kl3.standard_in_kl_basis(w)

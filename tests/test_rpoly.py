@@ -87,6 +87,48 @@ class TestOrdinary:
             assert rt3.r_poly_random_ascents(x, y, rng) == rt3.r_poly(x, y)
 
 
+@pytest.fixture(scope="module")
+def f4_filled():
+    """F4, its comparable pairs, an RTable holding r_{x,y} for all of them,
+    and the distinct values (r_poly interns them: one object per value)."""
+    sy = build_system("F4")
+    rt = RTable(sy)
+    pairs = sy.comparable_pairs()
+    distinct = {id(p): p for p in (rt.r_poly(x, y) for x, y in pairs)}
+    return sy, rt, pairs, list(distinct.values())
+
+
+def r_tilde(p):
+    """The coefficients of R~ with p(v) = R~(v - v^-1), highest degree first:
+    while p has a top term c v^d, record c and subtract c (v - v^-1)^d."""
+    powers = [lp({0: 1})]
+    while len(powers) <= max(p.degree_span()[1], 0):
+        powers.append(powers[-1] * lp({1: 1, -1: -1}))
+    out = []
+    while p:
+        d = p.degree_span()[1]
+        assert d >= 0, "%s is not a polynomial in v - v^-1" % p
+        out.append(p.coeff(d))
+        p = p - powers[d] * p.coeff(d)
+    return out
+
+
+class TestPackedBound:
+    def test_f4_r_tilde_coefficients_within_bound(self, f4_filled):
+        sy, _, _, values = f4_filled
+        assert len(values) == 436
+        coeffs = [c for p in values for c in r_tilde(p)]
+        assert min(coeffs) >= 0
+        assert max(coeffs) <= 2 ** sy.lengths[sy.w0]
+
+    def test_f4_matches_random_ascents(self, f4_filled):
+        sy, rt, pairs, _ = f4_filled
+        rng = random.Random(11)
+        assert rt.r_poly_random_ascents(sy.w0, 0, rng) == rt.r_poly(sy.w0, 0)
+        for x, y in random.Random(12).sample(pairs, 300):
+            assert rt.r_poly_random_ascents(x, y, rng) == rt.r_poly(x, y)
+
+
 class TestSigns:
     def test_a2_clean(self, a2, rt2):
         assert rt2.sign_compatibility(a2.w0, 0) == []
