@@ -46,7 +46,7 @@ from .rpoly import ParabolicRTable, RTable
 from .typea import predict_ext1
 from .verify import SUITES, run_suite
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 TABLE_EMIT_CAP = 120
 
 

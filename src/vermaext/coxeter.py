@@ -14,7 +14,7 @@ s0 and s1; all other types use s1..sn in Bourbaki numbering.
 from __future__ import annotations
 
 import re
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -200,12 +200,6 @@ class CoxeterSystem:
             x = self.right[j][x]
         return x
 
-    def inv(self, w: int) -> int:
-        return self.inverse[w]
-
-    def length(self, w: int) -> int:
-        return self.lengths[w]
-
     def conj_w0(self, w: int) -> int:
         """w0 * w * w0, a Dynkin diagram automorphism."""
         return self.mult(self.mult(self.w0, w), self.w0)
@@ -310,6 +304,11 @@ class CoxeterSystem:
         for tok in word.split("*"):
             x = self.right[self.gen_index(tok)][x]
         return x
+
+    @cached_property
+    def element_keys(self) -> dict[str, int]:
+        """Each element index by its decimal string, as table snapshots key them."""
+        return {str(w): w for w in range(self.order)}
 
     def from_word(self, word) -> int:
         """Element from an iterable of generator indices."""

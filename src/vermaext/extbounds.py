@@ -51,12 +51,6 @@ class TriangleRegion:
     d: int
     points: tuple[TrianglePoint, ...]
 
-    def point(self, a: int, b: int) -> TrianglePoint | None:
-        for p in self.points:
-            if p.a == a and p.b == b:
-                return p
-        return None
-
     def expected_points(self) -> list[TrianglePoint]:
         return [p for p in self.points if p.expected]
 
@@ -230,15 +224,6 @@ TYPE_A3_THEOREM = "TypeA3Theorem"
 class Certificate:
     kind: str
     detail: str = ""
-
-
-def determined_shifts(system: CoxeterSystem, x: int, y: int) -> list[int]:
-    """Internal shifts at which the pair's ext dimension is always forced:
-    the line meets the triangle in a single live point there.
-    """
-    d = system.lengths[x] - system.lengths[y]
-    shifts = {d, d - 2, 2 - d, -d}
-    return sorted(i for i in shifts if -d <= i <= d and (i - d) % 2 == 0)
 
 
 def trivial_kl_certificate(kl: KLTable, y: int) -> bool:

@@ -117,7 +117,7 @@ class KLTable:
     def __init__(self, system: CoxeterSystem):
         self.system = system
         self._values = PackedPolys(system.lengths[system.w0] + 1,
-                                   lambda digits: LaurentPoly(enumerate(digits)), LaurentPoly.items)
+                                   lambda digits: LaurentPoly(enumerate(digits)))
         self._basis: dict[int, dict[int, int]] = {0: {0: 1}}
         # extbounds.trivial_kl_certificate's answer per y, filled on request.
         self.trivial_certificates: dict[int, bool] = {}
@@ -167,10 +167,8 @@ class KLTable:
         return {x: poly(p) for x, p in self._row(y).items()}
 
     def export(self) -> dict:
-        """Every computed b_y as JSON data: {"y": {"x": [[exponent, coefficient], ...]}}."""
-        poly = self._values.poly
-        return {str(y): {str(x): poly(p).items() for x, p in row.items()}
-                for y, row in self._basis.items()}
+        """Every computed b_y as JSON data {"y": {"x": n}}, n the packed p_{x,y}."""
+        return {str(y): {str(x): p for x, p in row.items()} for y, row in self._basis.items()}
 
     def size(self) -> int:
         """Number of computed b_y; a row is computed whole and never changes,
@@ -178,15 +176,19 @@ class KLTable:
         return len(self._basis)
 
     def load(self, data: dict):
-        """Take in the entries of an export() snapshot.  Raises ValueError for
-        a value that does not fit the packed form, and for p_{x,y} with x != y
-        outside vZ[v]."""
-        pack, mask = self._values.pack, self._values.mask
-        for y, row in data.items():
-            packed = {int(x): pack(p) for x, p in row.items()}
-            if any(p & mask for x, p in packed.items() if x != int(y)):
-                raise ValueError("row %s has p_{x,y} outside vZ[v] for some x != y" % y)
-            self._basis[int(y)] = packed
+        """Take in the rows of an export() snapshot, values unchanged.  Raises
+        ValueError for a key that names no element, a value PackedPolys.check
+        refuses, and p_{x,y} with x != y outside vZ[v]."""
+        keys, check, mask = self.system.element_keys, self._values.check, self._values.mask
+        for key, row in data.items():
+            if key not in keys or not keys.keys() >= row.keys():
+                raise ValueError("row %r names an element %s does not have"
+                                 % (key, self.system.type_label))
+            y = keys[key]
+            packed = {keys[x]: check(p) for x, p in row.items()}
+            if any(p & mask for x, p in packed.items() if x != y):
+                raise ValueError("row %s has p_{x,y} outside vZ[v] for some x != y" % key)
+            self._basis[y] = packed
 
     def kl_poly(self, x: int, y: int) -> LaurentPoly:
         """p_{x,y}; zero unless x <= y, with p_{x,x} = 1."""

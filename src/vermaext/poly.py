@@ -8,6 +8,8 @@ hand out LaurentPoly values, so there is no floating point anywhere.
 
 from __future__ import annotations
 
+import reprlib
+
 
 class LaurentPoly:
     """A Laurent polynomial sum_k c_k v^k with integer coefficients.
@@ -39,10 +41,6 @@ class LaurentPoly:
     @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
-
-    @classmethod
-    def v(cls, exp: int = 1) -> "LaurentPoly":
-        return cls({exp: 1})
 
     # -- ring structure ----------------------------------------------------
 
@@ -194,21 +192,22 @@ ONE = LaurentPoly({0: 1})
 
 
 class PackedPolys:
-    """Polynomials with coefficients in [0, 2^bits), packed into Python ints.
+    """Polynomials with coefficients in [0, 2^bits) and at most ``bits``
+    coefficients, packed into Python ints.
 
     c_0 + c_1 t + c_2 t^2 + ... packs to sum_k c_k 2^(bits k), so packed
     values add coefficientwise and << bits, >> bits multiply and divide by
     t, as long as every coefficient stays in range.  ``decode`` maps the
-    digits [c_0, c_1, ...] to the LaurentPoly a value stands for; ``encode``
-    maps a LaurentPoly back to (k, c_k) pairs or raises ValueError.  Each
-    distinct packed value is decoded once and the LaurentPoly interned.
+    digits [c_0, c_1, ...] to the LaurentPoly a value stands for; each
+    distinct packed value is decoded once and the LaurentPoly interned.  The
+    packed ints are also the tables' snapshot format, read back through
+    check().
     """
 
-    def __init__(self, bits: int, decode, encode):
+    def __init__(self, bits: int, decode):
         self.bits, self.mask = bits, (1 << bits) - 1
-        self._decode, self._encode = decode, encode
+        self._decode = decode
         self._polys: dict[int, LaurentPoly] = {}
-        self._packed: dict[tuple, int] = {}  # JSON terms -> packed value
 
     def poly(self, n: int) -> LaurentPoly:
         """The interned LaurentPoly of the packed value n >= 0."""
@@ -218,31 +217,19 @@ class PackedPolys:
             p = self._polys[n] = self._decode(digits)
         return p
 
-    def pack(self, terms) -> int:
-        """The packed value of JSON data [[exponent, coefficient], ...]; raises
-        ValueError unless every |exponent| < bits and the encoded coefficients
-        lie in [0, 2^bits) at exponents >= 0."""
-        key = tuple(map(tuple, terms))
-        n = self._packed.get(key)
-        if n is None:
-            p = LaurentPoly((int(k), int(c)) for k, c in key)
-            if p and max(map(abs, p.degree_span())) >= self.bits:
-                raise ValueError("%s has a degree beyond %d" % (p, self.bits - 1))
-            n = 0
-            for k, c in self._encode(p):
-                if k < 0 or not 0 <= c <= self.mask:
-                    raise ValueError("%s does not fit %d-bit packed coefficients" % (p, self.bits))
-                n |= c << (self.bits * k)
-            self._packed[key] = n
-            self._polys.setdefault(n, p)
+    def check(self, n) -> int:
+        """n itself when it is a packed value, an int in [0, 2^(bits^2)) and so
+        of degree below bits; raises ValueError for anything else."""
+        if type(n) is not int or n < 0 or n.bit_length() > self.bits * self.bits:
+            raise ValueError("%s is not an int in [0, 2^%d)"
+                             % (reprlib.repr(n), self.bits * self.bits))
         return n
 
 
 class BiPoly:
     """A polynomial in two variables u, v with integer coefficients.
 
-    Stored as {(u_exp, v_exp): coefficient}; supports the coefficientwise
-    partial order used for dimension bounds.
+    Stored as {(u_exp, v_exp): coefficient}.
     """
 
     __slots__ = ("_terms",)
@@ -332,11 +319,6 @@ class BiPoly:
     def items(self):
         """((u_exp, v_exp), coefficient) pairs in lexicographic order."""
         return sorted(self._terms.items())
-
-    def leq(self, other: "BiPoly") -> bool:
-        """Coefficientwise comparison: every coefficient of self <= other's."""
-        keys = set(self._terms) | set(other._terms)
-        return all(self._terms.get(k, 0) <= other._terms.get(k, 0) for k in keys)
 
     def swap_vars(self) -> "BiPoly":
         out = BiPoly.__new__(BiPoly)

@@ -35,18 +35,6 @@ def _from_t(digits: list[int]) -> LaurentPoly:
     return sum((c * _t_power(k) for k, c in enumerate(digits) if c), _ZERO)
 
 
-def _to_t(p: LaurentPoly) -> list[tuple[int, int]]:
-    """The (k, c_k) of R~ with p = R~(v - v^-1), peeling off the top degree."""
-    out = []
-    while p:
-        d, c = p.items()[-1]
-        if d < 0:
-            raise ValueError("%s is not a polynomial in v - v^-1" % p)
-        out.append((d, c))
-        p = p - c * _t_power(d)
-    return out
-
-
 class RTable:
     """Memoized ordinary R-polynomials for one Coxeter system.
 
@@ -62,24 +50,27 @@ class RTable:
     def __init__(self, system: CoxeterSystem):
         self.system = system
         self._memo: dict[tuple[int, int], int] = {}
-        self._values = PackedPolys(system.lengths[system.w0] + 1, _from_t, _to_t)
+        self._values = PackedPolys(system.lengths[system.w0] + 1, _from_t)
 
     def export(self) -> dict:
-        """Every computed r_{x,y} as JSON data: {"x,y": [[exponent, coefficient], ...]}."""
-        poly = self._values.poly
-        return {"%d,%d" % key: poly(n).items() for key, n in self._memo.items()}
+        """Every computed r_{x,y} as JSON data {"x,y": n}, n the packed R~_{x,y}."""
+        return {"%d,%d" % key: n for key, n in self._memo.items()}
 
     def size(self) -> int:
         """Number of computed r_{x,y}."""
         return len(self._memo)
 
     def load(self, data: dict):
-        """Take in the entries of an export() snapshot.  Raises ValueError for
-        a value that is not R~(v - v^-1) with R~ fitting the packed form."""
-        pack = self._values.pack
-        self._memo.update(
-            {tuple(int(i) for i in key.split(",")): pack(p) for key, p in data.items()}
-        )
+        """Take in the entries of an export() snapshot, values unchanged.
+        Raises ValueError for a key that is not two elements "x,y" and for a
+        value PackedPolys.check refuses."""
+        keys, check = self.system.element_keys, self._values.check
+        for key, n in data.items():
+            x, _, y = key.partition(",")
+            if x not in keys or y not in keys:
+                raise ValueError("R key %r is not two elements 'x,y' of %s"
+                                 % (key, self.system.type_label))
+            self._memo[keys[x], keys[y]] = check(n)
 
     def r_poly(self, x: int, y: int) -> LaurentPoly:
         """r_{x,y}.  Zero unless x >= y.

@@ -255,8 +255,8 @@ class TestDeterminismAndCache:
         cache = tmp_path / "cache"
         code, _ = capture(capsys, ["scan", "--type", "A3", "--cache-dir", str(cache)])
         assert code == 0
-        assert os.listdir(cache) == ["tables-A3-v1.json"]  # no temporary file left
-        text = (cache / "tables-A3-v1.json").read_text()
+        assert os.listdir(cache) == ["tables-A3-v2.json"]  # no temporary file left
+        text = (cache / "tables-A3-v2.json").read_text()
         data = json.loads(text)
         sy = build_system("A3")
         kl, rt = KLTable(sy), RTable(sy)
@@ -294,7 +294,7 @@ class TestDeterminismAndCache:
         from vermaext.rpoly import RTable
 
         cache = tmp_path / "cache"
-        snapshot = cache / "tables-A3-v1.json"
+        snapshot = cache / "tables-A3-v2.json"
         kl_argv = ["kl", "--type", "A3", "--from", "e", "--to", "s2*s1*s3*s2",
                    "--cache-dir", str(cache)]
         first = capture(capsys, kl_argv)
@@ -317,13 +317,20 @@ class TestDeterminismAndCache:
             x, y = map(int, key.split(","))
             assert rt.r_poly(x, y) == fresh_rt.r_poly(x, y)
 
+    # A2 has 6 elements, indexed 0..5; a key that names none is malformed.
     @pytest.mark.parametrize("snapshot", [
         [],
-        {"version": 1, "type": "A2", "kl": [], "r": {}},
-        {"version": 1, "type": "A2", "kl": {"0": 5}, "r": {}},
-    ], ids=["top-level-list", "kl-list", "kl-row-int"])
+        {"version": 2, "type": "A2", "kl": [], "r": {}},
+        {"version": 2, "type": "A2", "kl": {"0": 5}, "r": {}},
+        {"version": 2, "type": "A2", "kl": {}, "r": {"5": 1}},
+        {"version": 2, "type": "A2", "kl": {}, "r": {"1,0,0": 1}},
+        {"version": 2, "type": "A2", "kl": {}, "r": {"40,0": 1}},
+        {"version": 2, "type": "A2", "kl": {}, "r": {"-1,3": 1}},
+        {"version": 2, "type": "A2", "kl": {"1": {"40": 16, "1": 1}}, "r": {}},
+    ], ids=["top-level-list", "kl-list", "kl-row-int", "r-key-one-index", "r-key-three-indices",
+            "r-key-beyond-order", "r-key-negative", "kl-key-beyond-order"])
     def test_malformed_snapshot_is_usage_error(self, capsys, tmp_path, snapshot):
-        path = tmp_path / "tables-A2-v1.json"
+        path = tmp_path / "tables-A2-v2.json"
         path.write_text(json.dumps(snapshot))
         code = run(["kl", "--type", "A2", "--from", "e", "--to", "s1",
                     "--cache-dir", str(tmp_path)])
@@ -332,26 +339,28 @@ class TestDeterminismAndCache:
         assert captured.out == ""
         assert captured.err.startswith("error: cache snapshot %s is malformed: " % path)
 
-    # A2 has l(w0) = 3, so its tables pack coefficients in 4 bits.
-    @pytest.mark.parametrize("kl, r", [
-        ({"1": {"0": [[1, -1]], "1": [[0, 1]]}}, {}),
-        ({"1": {"0": [[-1, 1]], "1": [[0, 1]]}}, {}),
-        ({"1": {"0": [[1, 16]], "1": [[0, 1]]}}, {}),
-        ({"1": {"0": [[40, 1]], "1": [[0, 1]]}}, {}),
-        ({"1": {"0": [[0, 1]], "1": [[0, 1]]}}, {}),
-        ({}, {"1,0": [[-1, 1], [1, -1]]}),
-        ({}, {"1,0": [[0, 16]]}),
-        ({}, {"1,0": [[1, 1]]}),
-    ], ids=["kl-negative-coefficient", "kl-negative-exponent", "kl-coefficient-2^B",
-            "kl-degree-beyond-l(w0)", "kl-constant-term-below-diagonal",
-            "r-negative-coefficient", "r-coefficient-2^B", "r-not-in-v-minus-v^-1"])
-    def test_unpackable_snapshot_value_is_usage_error(self, capsys, tmp_path, kl, r):
-        path = tmp_path / "tables-A2-v1.json"
-        path.write_text(json.dumps({"version": 1, "type": "A2", "kl": kl, "r": r}))
-        if kl:  # the KL induction builds on the edited row
+    # A2 has l(w0) = 3, so a packed value has at most 4 digits of 4 bits: an
+    # int in [0, 2^16).  value is the JSON text of the edited entry.
+    @pytest.mark.parametrize("table, value", [
+        ("r", "-1"),
+        ("r", "true"),
+        ("r", "1.0"),
+        ("r", '"1"'),
+        ("r", "[[-1, -1], [1, 1]]"),
+        ("kl", str(1 << 16)),
+        ("r", "9" * 5000),
+        ("kl", "1"),
+    ], ids=["negative-int", "bool", "float", "string", "v1-term-list",
+            "kl-degree-beyond-l(w0)", "5000-digit-int", "kl-constant-term-below-diagonal"])
+    def test_unpackable_snapshot_value_is_usage_error(self, capsys, tmp_path, table, value):
+        path = tmp_path / "tables-A2-v2.json"
+        if table == "kl":  # the KL induction builds on the edited p_{e,s1}
+            tables = '"kl": {"1": {"0": %s, "1": 1}}, "r": {}' % value
             argv = ["kl", "--type", "A2", "--from", "e", "--to", "w0"]
-        else:  # the edited entry is the answer
+        else:  # the edited r_{s1,e} is the answer
+            tables = '"kl": {}, "r": {"1,0": %s}' % value
             argv = ["rpoly", "--type", "A2", "--from", "s1", "--to", "e"]
+        path.write_text('{"version": 2, "type": "A2", %s}' % tables)
 
         def timed_out(signum, frame):
             pytest.fail("the command did not finish within 10 s")
@@ -367,6 +376,16 @@ class TestDeterminismAndCache:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: cache snapshot %s is malformed: " % path)
+
+    def test_v1_snapshot_neither_read_nor_modified(self, capsys, tmp_path):
+        old = tmp_path / "tables-A2-v1.json"
+        old.write_text(json.dumps({"version": 1, "type": "A2", "kl": {}, "r": {"5,0": [[0, 7]]}}))
+        before = old.read_bytes(), old.stat().st_mtime_ns
+        argv = ["rpoly", "--type", "A2", "--from", "w0", "--to", "e"]
+        fresh = capture(capsys, argv)
+        assert capture(capsys, argv + ["--cache-dir", str(tmp_path)]) == fresh
+        assert sorted(os.listdir(tmp_path)) == ["tables-A2-v1.json", "tables-A2-v2.json"]
+        assert (old.read_bytes(), old.stat().st_mtime_ns) == before
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"

@@ -8,7 +8,6 @@ from vermaext.extbounds import (
     SMALL_LENGTH_GAP,
     TYPE_A3_THEOREM,
     all_expected_predicate,
-    determined_shifts,
     expected_dims,
     hom_grid,
     kl_bound_poly,
@@ -72,12 +71,6 @@ class TestTriangleRegion:
     def test_parity_mismatch_lines_empty(self, a3):
         region = triangle_region(a3, a3.element("r*s*t"), 0)
         assert region.shifts_on_line(0) == []
-
-    def test_determined_shifts(self, a3):
-        x = a3.element("s*r*t*s")
-        assert determined_shifts(a3, x, 0) == [-4, -2, 2, 4]
-        for i in determined_shifts(a3, x, 0):
-            assert len(triangle_region(a3, x, 0).shifts_on_line(i)) <= 1
 
     def test_requires_comparable(self, a3):
         with pytest.raises(ValueError):

@@ -56,11 +56,11 @@ class TestLaurentRing:
 
 class TestSubstitutions:
     def test_bar(self):
-        assert LaurentPoly.v().bar() == lp({-1: 1})
+        assert lp({1: 1}).bar() == lp({-1: 1})
         assert lp({1: 1, -1: -1}).bar() == lp({-1: 1, 1: -1})
 
     def test_neg_inv(self):
-        assert LaurentPoly.v().subst_neg_inv() == lp({-1: -1})
+        assert lp({1: 1}).subst_neg_inv() == lp({-1: -1})
         assert lp({2: 1, 0: -2, -2: 1}).subst_neg_inv() == lp({2: 1, 0: -2, -2: 1})
         assert lp({3: 1, 1: -2}).subst_neg_inv() == lp({-3: -1, -1: 2})
 
@@ -92,30 +92,12 @@ class TestAccessors:
         assert LaurentPoly.from_json(json.loads(json.dumps(blob))) == p
 
 
-bipolys = st.builds(
-    BiPoly,
-    st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), coeffs, max_size=6),
-)
-
-
 class TestBiPoly:
     def test_from_uv_product(self):
         pu = lp({1: 1, 3: 2})
         pv = lp({0: 1, 2: 1})
         prod = BiPoly.from_uv_product(pu, pv)
         assert prod == BiPoly({(1, 0): 1, (1, 2): 1, (3, 0): 2, (3, 2): 2})
-
-    @given(bipolys, bipolys)
-    def test_leq_partial_order(self, a, b):
-        assert a.leq(a)
-        if a.leq(b) and b.leq(a):
-            assert a == b
-
-    @given(bipolys, bipolys, bipolys)
-    def test_leq_add_compatible(self, a, b, c):
-        nonneg = BiPoly({k: abs(v) for k, v in c.items()})
-        if a.leq(b):
-            assert a.leq(b + nonneg)
 
     def test_swap(self):
         p = BiPoly({(1, 0): 1, (0, 2): 3})
