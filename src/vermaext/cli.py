@@ -69,9 +69,11 @@ def _tables(args):
             with open(path) as fh:
                 try:
                     data = json.load(fh)
-                    if data.get("version") == CACHE_VERSION and data.get("type") == system.type_label:
-                        kl.load(data["kl"])
-                        rt.load(data["r"])
+                    fields = CACHE_VERSION, system.type_label
+                    if (data.get("version"), data.get("type")) != fields:
+                        raise ValueError("version and type differ from %d and %r in its name" % fields)
+                    kl.load(data["kl"])
+                    rt.load(data["r"])
                 except (AttributeError, KeyError, TypeError, ValueError) as exc:
                     raise ValueError("cache snapshot %s is malformed: %s" % (path, exc)) from None
     before = kl.size() + rt.size()

@@ -128,6 +128,7 @@ class CoxeterSystem:
         # element, built on first request (see _downset_row).
         self._perms = [np.asarray(r, dtype=np.intp) for r in self.right]
         self._rows: dict[int, bytes] = {0: bytes([1]).ljust((self.order + 7) // 8, b"\0")}
+        self._names: dict[int, str] = {0: "e"}
 
     # -- construction --------------------------------------------------------
 
@@ -168,6 +169,9 @@ class CoxeterSystem:
         self.lengths = [len(w) for w in words]
         self.e = 0
         self.w0 = self.order - 1
+        # The lowest s with ws > w (lam[s] > 0), rank for w0; one byte each.
+        self.first_ascent = bytes(next((j for j in range(rank) if lam[j] > 0), rank)
+                                  for lam in states)
 
         # Per-generator right multiplication tables from the state map.
         right = [[0] * self.order for _ in range(rank)]
@@ -279,10 +283,12 @@ class CoxeterSystem:
     # -- names and parsing -------------------------------------------------------
 
     def word_name(self, w: int) -> str:
-        """Canonical ShortLex word of w, e.g. 's1*s2*s1'; 'e' for the identity."""
-        if w == 0:
-            return "e"
-        return "*".join(self.gen_names[j] for j in self.canonical_words[w])
+        """Canonical ShortLex word of w, e.g. 's1*s2*s1'; 'e' for the identity.
+        Each name is spelled once, on first request."""
+        name = self._names.get(w)
+        if name is None:
+            name = self._names[w] = "*".join(self.gen_names[j] for j in self.canonical_words[w])
+        return name
 
     def gen_index(self, name: str) -> int:
         name = name.strip()

@@ -177,15 +177,21 @@ class KLTable:
 
     def load(self, data: dict):
         """Take in the rows of an export() snapshot, values unchanged.  Raises
-        ValueError for a key that names no element, a value PackedPolys.check
-        refuses, and p_{x,y} with x != y outside vZ[v]."""
-        keys, check, mask = self.system.element_keys, self._values.check, self._values.mask
+        ValueError for a key that names no element, a row y whose entries are
+        not exactly the x <= y in the Bruhat order, a value PackedPolys.check
+        refuses, p_{y,y} other than 1, and p_{x,y} with x != y outside vZ[v]
+        (KL polynomials are nonzero exactly for x <= y)."""
+        sy = self.system
+        keys, check, mask = sy.element_keys, self._values.check, self._values.mask
         for key, row in data.items():
             if key not in keys or not keys.keys() >= row.keys():
                 raise ValueError("row %r names an element %s does not have"
-                                 % (key, self.system.type_label))
+                                 % (key, sy.type_label))
+            check(row.values())
             y = keys[key]
-            packed = {keys[x]: check(p) for x, p in row.items()}
+            packed = {keys[x]: p for x, p in row.items()}
+            if packed.get(y) != 1 or packed.keys() != set(sy.bruhat_downset(y)):
+                raise ValueError("row %s needs p_{y,y} = 1 and entries for exactly the x <= y" % key)
             if any(p & mask for x, p in packed.items() if x != y):
                 raise ValueError("row %s has p_{x,y} outside vZ[v] for some x != y" % key)
             self._basis[y] = packed

@@ -15,52 +15,50 @@ from .rpoly import RTable
 
 
 class EquivPartition:
-    """Union-find closure of the simultaneous-descent moves on pairs x >= y."""
+    """Union-find closure of the simultaneous-descent moves on pairs x >= y.
+
+    One flat union-find over the indices of comparable_pairs(), found by the
+    int key x * order + y, halving paths inline.  The smaller root wins each
+    union, so a root is its class's least pair: class ids follow least pairs
+    and members are in pair order.
+    """
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
         pairs = system.comparable_pairs()
         self.pairs = pairs
-        index = {p: i for i, p in enumerate(pairs)}
+        order, lengths = system.order, system.lengths
+        index = {x * order + y: i for i, (x, y) in enumerate(pairs)}
         parent = list(range(len(pairs)))
+        # Right then left tables as one list of moves; bit m of descents[w]
+        # is set iff move m shortens w, and common[mask] lists mask's moves.
+        moves = system.right + system.left
+        descents = [sum(1 << m for m, move in enumerate(moves) if lengths[move[w]] < lengths[w])
+                    for w in range(order)]
+        common = [[move for m, move in enumerate(moves) if mask >> m & 1]
+                  for mask in range(1 << len(moves))]
+        for i, (x, y) in enumerate(pairs):
+            for move in common[descents[x] & descents[y]]:
+                a, b = i, index[move[x] * order + move[y]]
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                if a < b:
+                    a, b = b, a
+                parent[a] = b
 
-        def find(i):
-            root = i
-            while parent[root] != root:
-                root = parent[root]
-            while parent[i] != root:
-                parent[i], i = root, parent[i]
-            return root
-
-        def union(i, j):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                if rj < ri:
-                    ri, rj = rj, ri
-                parent[rj] = ri
-
-        lengths = system.lengths
-        for (x, y), i in index.items():
-            for s in range(system.rank):
-                xs, ys = system.right[s][x], system.right[s][y]
-                if lengths[xs] < lengths[x] and lengths[ys] < lengths[y]:
-                    union(i, index[(xs, ys)])
-                sx, sy_ = system.left[s][x], system.left[s][y]
-                if lengths[sx] < lengths[x] and lengths[sy_] < lengths[y]:
-                    union(i, index[(sx, sy_)])
-
-        roots = {}
-        self.class_id = {}
+        # parent[i] <= i throughout, so in index order parent[parent[i]] is
+        # already the root of i, and each root opens the next class.
+        cids: list[int] = []
         self.classes: list[list[tuple[int, int]]] = []
         for i, p in enumerate(pairs):
-            r = find(i)
-            cid = roots.get(r)
-            if cid is None:
-                cid = len(self.classes)
-                roots[r] = cid
+            r = parent[i] = parent[parent[i]]
+            if r == i:
                 self.classes.append([])
-            self.class_id[p] = cid
-            self.classes[cid].append(p)
+            cids.append(len(self.classes) - 1 if r == i else cids[r])
+            self.classes[cids[i]].append(p)
+        self.class_id = dict(zip(pairs, cids))
         # boolean_member's answer per class id, filled on first request.
         self._boolean_hit: dict[int, tuple[str, int, int] | None] = {}
 

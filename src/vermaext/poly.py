@@ -217,13 +217,13 @@ class PackedPolys:
             p = self._polys[n] = self._decode(digits)
         return p
 
-    def check(self, n) -> int:
-        """n itself when it is a packed value, an int in [0, 2^(bits^2)) and so
-        of degree below bits; raises ValueError for anything else."""
-        if type(n) is not int or n < 0 or n.bit_length() > self.bits * self.bits:
-            raise ValueError("%s is not an int in [0, 2^%d)"
-                             % (reprlib.repr(n), self.bits * self.bits))
-        return n
+    def check(self, values):
+        """Raise ValueError unless each of values is a packed value, an int in
+        [0, 2^(bits^2)) and so of degree below bits."""
+        limit = self.bits * self.bits
+        for n in values:
+            if type(n) is not int or n < 0 or n.bit_length() > limit:
+                raise ValueError("%s is not an int in [0, 2^%d)" % (reprlib.repr(n), limit))
 
 
 class BiPoly:

@@ -43,18 +43,22 @@ class RTable:
     In t the recursion of r_poly only adds nonnegative values:
     R~_{x,y} = R~_{xs,ys} + t R~_{x,ys}.  It is l(w0) - l(y) steps deep and
     each step at most doubles R~(1), so every coefficient is at most
-    2^l(w0) < 2^B.  r_poly_random_ascents, r_oracle_table and ParabolicRTable
-    stay on LaurentPoly on purpose, as independent routes.
+    2^l(w0) < 2^B.  The memo is keyed by the int x * order + y and holds only
+    pairs y < x (load() refuses any other key), so a lookup reads it first,
+    then tests x == y, and only then bruhat_leq(y, x).  r_poly_random_ascents,
+    r_oracle_table and ParabolicRTable stay on LaurentPoly on purpose, as
+    independent routes.
     """
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
-        self._memo: dict[tuple[int, int], int] = {}
+        self._memo: dict[int, int] = {}
         self._values = PackedPolys(system.lengths[system.w0] + 1, _from_t)
+        self._signs: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def export(self) -> dict:
         """Every computed r_{x,y} as JSON data {"x,y": n}, n the packed R~_{x,y}."""
-        return {"%d,%d" % key: n for key, n in self._memo.items()}
+        return {"%d,%d" % divmod(key, self.system.order): n for key, n in self._memo.items()}
 
     def size(self) -> int:
         """Number of computed r_{x,y}."""
@@ -62,15 +66,18 @@ class RTable:
 
     def load(self, data: dict):
         """Take in the entries of an export() snapshot, values unchanged.
-        Raises ValueError for a key that is not two elements "x,y" and for a
-        value PackedPolys.check refuses."""
-        keys, check = self.system.element_keys, self._values.check
+        Raises ValueError for a key that is not two elements "x,y" with
+        y < x in the Bruhat order and for a value PackedPolys.check refuses."""
+        sy = self.system
+        keys, order = sy.element_keys, sy.order
+        self._values.check(data.values())
         for key, n in data.items():
             x, _, y = key.partition(",")
-            if x not in keys or y not in keys:
-                raise ValueError("R key %r is not two elements 'x,y' of %s"
-                                 % (key, self.system.type_label))
-            self._memo[keys[x], keys[y]] = check(n)
+            x, y = keys.get(x), keys.get(y)
+            if x is None or y is None or x == y or not sy.bruhat_leq(y, x):
+                raise ValueError("R key %r is not 'x,y' for elements y < x of %s"
+                                 % (key, sy.type_label))
+            self._memo[x * order + y] = n
 
     def r_poly(self, x: int, y: int) -> LaurentPoly:
         """r_{x,y}.  Zero unless x >= y.
@@ -85,20 +92,20 @@ class RTable:
     def _rt(self, x: int, y: int) -> int:
         """R~_{x,y} packed; the recursion of r_poly read in t = v - v^-1."""
         sy = self.system
-        if not sy.bruhat_leq(y, x):
-            return 0
+        key = x * sy.order + y
+        val = self._memo.get(key)
+        if val is not None:
+            return val
         if x == y:
             return 1
-        hit = self._memo.get((x, y))
-        if hit is not None:
-            return hit
-        # y < x <= w0 here, so y has an ascent
-        s = next(s for s in range(sy.rank) if sy.lengths[sy.right[s][y]] > sy.lengths[y])
+        if not sy.bruhat_leq(y, x):
+            return 0
+        s = sy.first_ascent[y]  # y < x <= w0, so y has an ascent
         xs, ys = sy.right[s][x], sy.right[s][y]
         val = self._rt(xs, ys)
         if sy.lengths[xs] < sy.lengths[x]:
             val += self._rt(x, ys) << self._values.bits
-        self._memo[x, y] = val
+        self._memo[key] = val
         return val
 
     def r_poly_random_ascents(self, x: int, y: int, rng: random.Random) -> LaurentPoly:
@@ -150,18 +157,20 @@ class RTable:
         With d = l(x) - l(y), a nonzero coefficient at exponent k must have
         sign (-1)^((d-k)/2) for all extensions of the pair to sit on the
         expected edge.  An empty list is consistency; a nonempty list is a
-        certificate that the pair has an additional extension.
+        certificate that the pair has an additional extension.  Answers are
+        kept per (R~_{x,y}, d); each call returns a new list.
         """
         sy = self.system
         if not sy.bruhat_leq(y, x):
             raise ValueError("sign_compatibility needs x >= y")
         d = sy.lengths[x] - sy.lengths[y]
-        bad = []
-        for k, c in self.r_poly(x, y).items():
-            want = 1 if ((d - k) // 2) % 2 == 0 else -1
-            if (1 if c > 0 else -1) != want:
-                bad.append(k)
-        return bad
+        n = self._rt(x, y)
+        bad = self._signs.get((n, d))
+        if bad is None:
+            bad = self._signs[n, d] = tuple(
+                k for k, c in self._values.poly(n).items()
+                if (c > 0) != (((d - k) // 2) % 2 == 0))
+        return list(bad)
 
 
 def r_oracle_table(kl: KLTable) -> dict[tuple[int, int], LaurentPoly]:

@@ -317,7 +317,9 @@ class TestDeterminismAndCache:
             x, y = map(int, key.split(","))
             assert rt.r_poly(x, y) == fresh_rt.r_poly(x, y)
 
-    # A2 has 6 elements, indexed 0..5; a key that names none is malformed.
+    # A2 has 6 elements, indexed 0..5, with s1 = 1, s2 = 2 and w0 = 5; a key
+    # that names none, an R key "x,y" off y < x, a KL entry p_{x,y} off x <= y
+    # or missing for an x <= y, and p_{y,y} other than 1 are malformed.
     @pytest.mark.parametrize("snapshot", [
         [],
         {"version": 2, "type": "A2", "kl": [], "r": {}},
@@ -327,17 +329,29 @@ class TestDeterminismAndCache:
         {"version": 2, "type": "A2", "kl": {}, "r": {"40,0": 1}},
         {"version": 2, "type": "A2", "kl": {}, "r": {"-1,3": 1}},
         {"version": 2, "type": "A2", "kl": {"1": {"40": 16, "1": 1}}, "r": {}},
+        {"version": 2, "type": "A2", "kl": {}, "r": {"0,1": 4112}},
+        {"version": 2, "type": "A2", "kl": {}, "r": {"2,2": 16}},
+        {"version": 2, "type": "A2", "kl": {"1": {"1": 1, "2": 64}}, "r": {}},
+        {"version": 2, "type": "A2", "kl": {"1": {"1": 3, "0": 16}}, "r": {}},
+        {"version": 2, "type": "A2", "kl": {"1": {"1": 1}}, "r": {}},
+        {"version": 1, "type": "A2", "kl": {}, "r": {}},
+        {"version": 2, "type": "B3", "kl": {}, "r": {}},
     ], ids=["top-level-list", "kl-list", "kl-row-int", "r-key-one-index", "r-key-three-indices",
-            "r-key-beyond-order", "r-key-negative", "kl-key-beyond-order"])
+            "r-key-beyond-order", "r-key-negative", "kl-key-beyond-order", "r-key-off-order",
+            "r-key-diagonal", "kl-x-off-order", "kl-diagonal-not-one", "kl-entry-missing", "version-mismatch",
+            "type-mismatch"])
     def test_malformed_snapshot_is_usage_error(self, capsys, tmp_path, snapshot):
         path = tmp_path / "tables-A2-v2.json"
         path.write_text(json.dumps(snapshot))
+        before = path.read_bytes(), path.stat().st_mtime_ns
         code = run(["kl", "--type", "A2", "--from", "e", "--to", "s1",
                     "--cache-dir", str(tmp_path)])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: cache snapshot %s is malformed: " % path)
+        assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+        assert os.listdir(tmp_path) == ["tables-A2-v2.json"]
 
     # A2 has l(w0) = 3, so a packed value has at most 4 digits of 4 bits: an
     # int in [0, 2^16).  value is the JSON text of the edited entry.

@@ -175,6 +175,15 @@ class TestBruhat:
                 assert a3.bruhat_leq(x, y) == a3.bruhat_leq(a3.conj_w0(x), a3.conj_w0(y))
 
 
+@pytest.mark.parametrize("label", ["A3", "B3", "D4", "F4"])
+def test_first_ascent_is_lowest_ascent(label):
+    sy = build_system(label)
+    assert len(sy.first_ascent) == sy.order
+    for w in range(sy.order):
+        ascents = [s for s in range(sy.rank) if sy.lengths[sy.right[s][w]] > sy.lengths[w]]
+        assert sy.first_ascent[w] == (ascents[0] if ascents else sy.rank)
+
+
 class TestPredicates:
     def test_descents(self, a3):
         assert a3.right_descents(0) == frozenset()
@@ -265,6 +274,14 @@ class TestParsing:
     def test_round_trip(self, a3):
         for w in range(a3.order):
             assert a3.element(a3.word_name(w)) == w
+
+    @pytest.mark.parametrize("label", ["B3", "F4"])
+    def test_word_name_spells_canonical_word(self, label):
+        sy = build_system(label)
+        assert sy.word_name(0) == "e"
+        for _ in range(2):  # spelled on the first pass, kept for the second
+            for w in range(1, sy.order):
+                assert sy.word_name(w) == "*".join(sy.gen_names[j] for j in sy.canonical_words[w])
 
     def test_aliases(self, a3):
         assert a3.element("r*t*s") == a3.element("s1*s3*s2")

@@ -58,6 +58,44 @@ class TestPartition:
         assert part3.class_of(a3.w0, 0) == [(a3.w0, 0)]
 
 
+def _bfs_classes(system):
+    """Classes of the simultaneous-descent moves by breadth-first search over
+    both directions of every move, numbered by their least pair index and
+    listed in pair order."""
+    pairs = system.comparable_pairs()
+    where = {p: i for i, p in enumerate(pairs)}
+    lengths = system.lengths
+    seen = {}
+    for start in pairs:
+        if start in seen:
+            continue
+        seen[start] = start
+        queue = [start]
+        for x, y in queue:
+            for table in system.right + system.left:
+                q = (table[x], table[y])
+                down = lengths[q[0]] < lengths[x] and lengths[q[1]] < lengths[y]
+                up = lengths[q[0]] > lengths[x] and lengths[q[1]] > lengths[y]
+                if (down or up) and q not in seen:
+                    assert q in where, "a move left the comparable pairs"
+                    seen[q] = start
+                    queue.append(q)
+    members = {}
+    for p in pairs:
+        members.setdefault(seen[p], []).append(p)
+    classes = sorted(members.values(), key=lambda c: where[c[0]])
+    return classes, {p: cid for cid, c in enumerate(classes) for p in c}
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "D4", "B4"])
+def test_partition_matches_bfs_closure(label):
+    system = build_system(label)
+    part = equiv_classes(system)
+    classes, class_id = _bfs_classes(system)
+    assert part.classes == classes
+    assert part.class_id == class_id
+
+
 class TestRConstancy:
     @pytest.mark.parametrize("label", ["A3", "B3"])
     def test_exhaustive(self, label):

@@ -138,6 +138,18 @@ class TestSigns:
         with pytest.raises(ValueError):
             rt2.sign_compatibility(0, a2.w0)
 
+    @pytest.mark.parametrize("label", ["B3", "D4"])
+    def test_matches_direct_walk(self, label):
+        sy = build_system(label)
+        rt = RTable(sy)
+        for x, y in sy.comparable_pairs():
+            d = sy.lengths[x] - sy.lengths[y]
+            want = [k for k, c in rt.r_poly(x, y).items() if c * (-1) ** ((d - k) // 2) < 0]
+            got = rt.sign_compatibility(x, y)
+            assert got == want
+            got.append(99)  # the caller's list; the next answer is unchanged
+            assert rt.sign_compatibility(x, y) == want
+
     def test_d4(self):
         d4 = build_system("D4")
         rt = RTable(d4)
