@@ -7,27 +7,22 @@ the letters r, s, t).  Output is deterministic: elements are printed by their
 canonical words, tables are sorted by (length, index), and JSON carries no
 timestamps.
 
-Every command runs the same way: its handler computes and returns the output
-text, and run() writes it.  Table commands get the group and its KL and R
-tables from _tables(), which reads the --cache-dir snapshot before any work
-and rewrites it only when the command computed new entries.  Output is
-written after the snapshot is saved, so an unusable cache directory or a
-malformed snapshot ends in an error before any output.  rpoly --expected
-needs --table.  Exit codes: 0 success, 1 verification failure, 2 usage
-errors (an unusable --output or --cache-dir path and a malformed snapshot
-among them).
+Every command runs the same way: its handler builds the group and the KL or
+R table it needs, computes and returns the output text, and run() alone
+writes it, so a command that fails writes nothing.  rpoly --expected needs
+--table.  --cache-dir is accepted for existing command lines and has no
+effect.  Exit codes: 0 success, 1 verification failure, 2 usage errors (an
+unusable --output path among them).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
 import os
 import sys
-import tempfile
 from functools import partial
 
 from . import refdata
@@ -46,50 +41,7 @@ from .rpoly import ParabolicRTable, RTable
 from .typea import predict_ext1
 from .verify import SUITES, run_suite
 
-CACHE_VERSION = 2
 TABLE_EMIT_CAP = 120
-
-
-@contextlib.contextmanager
-def _tables(args):
-    """The group of --type/--cap with its KL and R tables, as (system, kl, rt).
-
-    Under --cache-dir the directory is made and the snapshot read before the
-    body runs; when the body ends normally and the tables gained entries, the
-    snapshot is rewritten through a temporary file of its own, so concurrent
-    writers never share one.
-    """
-    system = build_system(args.type, cap=args.cap)
-    kl, rt = KLTable(system), RTable(system)
-    cache_dir = args.cache_dir
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        path = os.path.join(cache_dir, "tables-%s-v%d.json" % (system.type_label, CACHE_VERSION))
-        if os.path.exists(path):
-            with open(path) as fh:
-                try:
-                    data = json.load(fh)
-                    fields = CACHE_VERSION, system.type_label
-                    if (data.get("version"), data.get("type")) != fields:
-                        raise ValueError("version and type differ from %d and %r in its name" % fields)
-                    kl.load(data["kl"])
-                    rt.load(data["r"])
-                except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                    raise ValueError("cache snapshot %s is malformed: %s" % (path, exc)) from None
-    before = kl.size() + rt.size()
-    yield system, kl, rt
-    if not cache_dir or kl.size() + rt.size() == before:
-        return
-    data = {"version": CACHE_VERSION, "type": system.type_label,
-            "kl": kl.export(), "r": rt.export()}
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=os.path.basename(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(data, fh, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def _poly_out(args, poly) -> str:
@@ -102,7 +54,7 @@ def _poly_out(args, poly) -> str:
 # -- table emission ------------------------------------------------------------
 
 
-def emit_table(kind: str, system: CoxeterSystem, fmt: str, rt=None, J: str = "") -> str:
+def emit_table(kind: str, system: CoxeterSystem, fmt: str, J: str = "") -> str:
     """Full table of one kind, both indices sorted by (length, index):
     'rpoly' (R-polynomials) or 'expected' (expected-dimension generating
     polynomials in u, v) over W x W, 'singular' or 'parabolic' over the
@@ -111,7 +63,7 @@ def emit_table(kind: str, system: CoxeterSystem, fmt: str, rt=None, J: str = "")
     columns the second index y); the coset kinds list 'x , y : p' per
     nonzero cell.  Tables with more than TABLE_EMIT_CAP rows are refused.
     """
-    rt = rt or RTable(system)
+    rt = RTable(system)
     if kind in ("singular", "parabolic"):
         table = ParabolicRTable(rt, system.parabolic(_parse_J(system, J)), kind)
         index, cell, meta = table.reps, table.poly, {"J": J}
@@ -184,14 +136,15 @@ def cmd_group(args) -> str:
 
 
 def cmd_kl(args) -> str:
-    with _tables(args) as (sy, kl, _):
-        if args.nontrivial_from is not None:
-            x = sy.element(args.nontrivial_from)
-            rows = [(sy.word_name(y), p) for y, p in kl.nontrivial_from(x)]
-            return _records(args, [{"y": y, "p": p.to_json()} for y, p in rows],
-                            ["%s: %s" % row for row in rows], empty="(none)")
-        x, y = sy.element(getattr(args, "from")), sy.element(args.to)
-        return _poly_out(args, kl.kl_poly(x, y))
+    sy = build_system(args.type, cap=args.cap)
+    kl = KLTable(sy)
+    if args.nontrivial_from is not None:
+        x = sy.element(args.nontrivial_from)
+        rows = [(sy.word_name(y), p) for y, p in kl.nontrivial_from(x)]
+        return _records(args, [{"y": y, "p": p.to_json()} for y, p in rows],
+                        ["%s: %s" % row for row in rows], empty="(none)")
+    x, y = sy.element(getattr(args, "from")), sy.element(args.to)
+    return _poly_out(args, kl.kl_poly(x, y))
 
 
 def cmd_rpoly(args) -> str:
@@ -199,11 +152,11 @@ def cmd_rpoly(args) -> str:
         raise ValueError("--expected needs --table")
     if canonical_label(args.type) == "E7":
         return _rpoly_e7_reference(args)
-    with _tables(args) as (sy, _, rt):
-        if args.table:
-            return emit_table("expected" if args.expected else "rpoly", sy, args.format, rt=rt)
-        x, y = sy.element(getattr(args, "from")), sy.element(args.to)
-        return _poly_out(args, rt.r_poly(x, y))
+    sy = build_system(args.type, cap=args.cap)
+    if args.table:
+        return emit_table("expected" if args.expected else "rpoly", sy, args.format)
+    x, y = sy.element(getattr(args, "from")), sy.element(args.to)
+    return _poly_out(args, RTable(sy).r_poly(x, y))
 
 
 def _rpoly_e7_reference(args) -> str:
@@ -232,35 +185,35 @@ def _parse_J(sy: CoxeterSystem, raw: str):
 def cmd_coset(args) -> str:
     """prpoly and srpoly: R-polynomials of kind args.kind ('parabolic' or
     'singular') over the minimal coset representatives for --J."""
-    with _tables(args) as (sy, _, rt):
-        if args.table:
-            return emit_table(args.kind, sy, args.format, rt=rt, J=args.J)
-        table = ParabolicRTable(rt, sy.parabolic(_parse_J(sy, args.J)), args.kind)
-        x, y = sy.element(getattr(args, "from")), sy.element(args.to)
-        return _poly_out(args, table.poly(x, y))
+    sy = build_system(args.type, cap=args.cap)
+    if args.table:
+        return emit_table(args.kind, sy, args.format, J=args.J)
+    table = ParabolicRTable(RTable(sy), sy.parabolic(_parse_J(sy, args.J)), args.kind)
+    x, y = sy.element(getattr(args, "from")), sy.element(args.to)
+    return _poly_out(args, table.poly(x, y))
 
 
 def cmd_bound(args) -> str:
-    with _tables(args) as (sy, kl, _):
-        return _poly_out(args, kl_bound_poly(kl, sy.element(args.target), sy.element(args.source)))
+    sy = build_system(args.type, cap=args.cap)
+    return _poly_out(args, kl_bound_poly(KLTable(sy), sy.element(args.target), sy.element(args.source)))
 
 
 def cmd_grid(args) -> str:
-    with _tables(args) as (sy, kl, _):
-        grid = hom_grid(kl, sy.element(args.target), sy.element(args.source))
-        cells = grid.nonzero()
-        if args.format == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(["a", "b", "dim"])
-            writer.writerows(cells)
-            return buf.getvalue().rstrip("\n")
-        return _records(
-            args,
-            {"target": sy.word_name(grid.target), "source": sy.word_name(grid.source),
-             "cells": [[a, b, v] for a, b, v in cells]},
-            ["(%d, %d): %d" % c for c in cells],
-        )
+    sy = build_system(args.type, cap=args.cap)
+    grid = hom_grid(KLTable(sy), sy.element(args.target), sy.element(args.source))
+    cells = grid.nonzero()
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["a", "b", "dim"])
+        writer.writerows(cells)
+        return buf.getvalue().rstrip("\n")
+    return _records(
+        args,
+        {"target": sy.word_name(grid.target), "source": sy.word_name(grid.source),
+         "cells": [[a, b, v] for a, b, v in cells]},
+        ["(%d, %d): %d" % c for c in cells],
+    )
 
 
 def cmd_triangle(args) -> str:
@@ -277,23 +230,23 @@ def cmd_triangle(args) -> str:
 
 
 def cmd_scan(args) -> str:
-    with _tables(args) as (sy, kl, rt):
-        partition = equiv_classes(sy)
-        report = all_expected_predicate(sy, kl=kl, rt=rt, partition=partition)
-        name = sy.word_name
-        violations = [(name(x), name(y), bad) for x, y, bad in report.sign_violations]
-        uncertified = [(name(x), name(y)) for x, y in report.uncertified]
-        lines = ["%s: %d comparable pairs" % (sy.type_label, len(partition.pairs))]
-        lines.append("all extensions expected: %s" % ("yes" if report.verdict else "no"))
-        lines.extend("sign violation (%s, %s) at %s" % row for row in violations)
-        lines.extend("no certificate for (%s, %s)" % row for row in uncertified)
-        return _records(args, {
-            "type": sy.type_label,
-            "pairs": len(partition.pairs),
-            "verdict": report.verdict,
-            "sign_violations": [{"x": x, "y": y, "exponents": bad} for x, y, bad in violations],
-            "uncertified": [{"x": x, "y": y} for x, y in uncertified],
-        }, lines)
+    sy = build_system(args.type, cap=args.cap)
+    partition = equiv_classes(sy)
+    report = all_expected_predicate(sy, partition=partition)
+    name = sy.word_name
+    violations = [(name(x), name(y), bad) for x, y, bad in report.sign_violations]
+    uncertified = [(name(x), name(y)) for x, y in report.uncertified]
+    lines = ["%s: %d comparable pairs" % (sy.type_label, len(partition.pairs))]
+    lines.append("all extensions expected: %s" % ("yes" if report.verdict else "no"))
+    lines.extend("sign violation (%s, %s) at %s" % row for row in violations)
+    lines.extend("no certificate for (%s, %s)" % row for row in uncertified)
+    return _records(args, {
+        "type": sy.type_label,
+        "pairs": len(partition.pairs),
+        "verdict": report.verdict,
+        "sign_violations": [{"x": x, "y": y, "exponents": bad} for x, y, bad in violations],
+        "uncertified": [{"x": x, "y": y} for x, y in uncertified],
+    }, lines)
 
 
 def cmd_predict(args) -> str:
@@ -349,9 +302,9 @@ def _add_common(p, *, needs_type=True):
                    help="element-count safety cap (default %d)" % DEFAULT_CAP)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--output", help="write to a file instead of stdout")
-    p.add_argument("--cache-dir", default=os.environ.get("VERMAEXT_CACHE_DIR"),
-                   help="directory for KL/R table snapshots "
-                        "(default from VERMAEXT_CACHE_DIR)")
+    # accepted and ignored, because existing command lines still pass it
+    # (perfbench's query-mix and freeze.py among them)
+    p.add_argument("--cache-dir", help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,9 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     """Parse argv, run the handler and write its text to stdout or --output.
 
-    A handler's tables are saved before it returns, so nothing is written
-    when a command fails.  Exit code 0 success, 1 a failed verification,
-    2 an error, reported on stderr.
+    Nothing is written when the handler fails.  Exit code 0 success, 1 a
+    failed verification, 2 an error, reported on stderr.
     """
     parser = build_parser()
     args = parser.parse_args(argv)

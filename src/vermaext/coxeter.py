@@ -14,7 +14,7 @@ s0 and s1; all other types use s1..sn in Bourbaki numbering.
 from __future__ import annotations
 
 import re
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -310,11 +310,6 @@ class CoxeterSystem:
         for tok in word.split("*"):
             x = self.right[self.gen_index(tok)][x]
         return x
-
-    @cached_property
-    def element_keys(self) -> dict[str, int]:
-        """Each element index by its decimal string, as table snapshots key them."""
-        return {str(w): w for w in range(self.order)}
 
     def from_word(self, word) -> int:
         """Element from an iterable of generator indices."""

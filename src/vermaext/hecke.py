@@ -166,36 +166,6 @@ class KLTable:
         poly = self._values.poly
         return {x: poly(p) for x, p in self._row(y).items()}
 
-    def export(self) -> dict:
-        """Every computed b_y as JSON data {"y": {"x": n}}, n the packed p_{x,y}."""
-        return {str(y): {str(x): p for x, p in row.items()} for y, row in self._basis.items()}
-
-    def size(self) -> int:
-        """Number of computed b_y; a row is computed whole and never changes,
-        so this grows exactly when entries are added."""
-        return len(self._basis)
-
-    def load(self, data: dict):
-        """Take in the rows of an export() snapshot, values unchanged.  Raises
-        ValueError for a key that names no element, a row y whose entries are
-        not exactly the x <= y in the Bruhat order, a value PackedPolys.check
-        refuses, p_{y,y} other than 1, and p_{x,y} with x != y outside vZ[v]
-        (KL polynomials are nonzero exactly for x <= y)."""
-        sy = self.system
-        keys, check, mask = sy.element_keys, self._values.check, self._values.mask
-        for key, row in data.items():
-            if key not in keys or not keys.keys() >= row.keys():
-                raise ValueError("row %r names an element %s does not have"
-                                 % (key, sy.type_label))
-            check(row.values())
-            y = keys[key]
-            packed = {keys[x]: p for x, p in row.items()}
-            if packed.get(y) != 1 or packed.keys() != set(sy.bruhat_downset(y)):
-                raise ValueError("row %s needs p_{y,y} = 1 and entries for exactly the x <= y" % key)
-            if any(p & mask for x, p in packed.items() if x != y):
-                raise ValueError("row %s has p_{x,y} outside vZ[v] for some x != y" % key)
-            self._basis[y] = packed
-
     def kl_poly(self, x: int, y: int) -> LaurentPoly:
         """p_{x,y}; zero unless x <= y, with p_{x,x} = 1."""
         return self._values.poly(self._row(y).get(x, 0))

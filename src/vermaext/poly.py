@@ -8,8 +8,6 @@ hand out LaurentPoly values, so there is no floating point anywhere.
 
 from __future__ import annotations
 
-import reprlib
-
 
 class LaurentPoly:
     """A Laurent polynomial sum_k c_k v^k with integer coefficients.
@@ -199,9 +197,7 @@ class PackedPolys:
     values add coefficientwise and << bits, >> bits multiply and divide by
     t, as long as every coefficient stays in range.  ``decode`` maps the
     digits [c_0, c_1, ...] to the LaurentPoly a value stands for; each
-    distinct packed value is decoded once and the LaurentPoly interned.  The
-    packed ints are also the tables' snapshot format, read back through
-    check().
+    distinct packed value is decoded once and the LaurentPoly interned.
     """
 
     def __init__(self, bits: int, decode):
@@ -216,14 +212,6 @@ class PackedPolys:
             digits = [(n >> k) & self.mask for k in range(0, n.bit_length(), self.bits)]
             p = self._polys[n] = self._decode(digits)
         return p
-
-    def check(self, values):
-        """Raise ValueError unless each of values is a packed value, an int in
-        [0, 2^(bits^2)) and so of degree below bits."""
-        limit = self.bits * self.bits
-        for n in values:
-            if type(n) is not int or n < 0 or n.bit_length() > limit:
-                raise ValueError("%s is not an int in [0, 2^%d)" % (reprlib.repr(n), limit))
 
 
 class BiPoly:

@@ -44,8 +44,9 @@ class RTable:
     R~_{x,y} = R~_{xs,ys} + t R~_{x,ys}.  It is l(w0) - l(y) steps deep and
     each step at most doubles R~(1), so every coefficient is at most
     2^l(w0) < 2^B.  The memo is keyed by the int x * order + y and holds only
-    pairs y < x (load() refuses any other key), so a lookup reads it first,
-    then tests x == y, and only then bruhat_leq(y, x).  r_poly_random_ascents,
+    pairs y < x, since _rt stores a value only after its x == y and
+    bruhat_leq(y, x) tests; so a lookup reads the memo first, then tests
+    x == y, and only then bruhat_leq(y, x).  r_poly_random_ascents,
     r_oracle_table and ParabolicRTable stay on LaurentPoly on purpose, as
     independent routes.
     """
@@ -55,29 +56,6 @@ class RTable:
         self._memo: dict[int, int] = {}
         self._values = PackedPolys(system.lengths[system.w0] + 1, _from_t)
         self._signs: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def export(self) -> dict:
-        """Every computed r_{x,y} as JSON data {"x,y": n}, n the packed R~_{x,y}."""
-        return {"%d,%d" % divmod(key, self.system.order): n for key, n in self._memo.items()}
-
-    def size(self) -> int:
-        """Number of computed r_{x,y}."""
-        return len(self._memo)
-
-    def load(self, data: dict):
-        """Take in the entries of an export() snapshot, values unchanged.
-        Raises ValueError for a key that is not two elements "x,y" with
-        y < x in the Bruhat order and for a value PackedPolys.check refuses."""
-        sy = self.system
-        keys, order = sy.element_keys, sy.order
-        self._values.check(data.values())
-        for key, n in data.items():
-            x, _, y = key.partition(",")
-            x, y = keys.get(x), keys.get(y)
-            if x is None or y is None or x == y or not sy.bruhat_leq(y, x):
-                raise ValueError("R key %r is not 'x,y' for elements y < x of %s"
-                                 % (key, sy.type_label))
-            self._memo[x * order + y] = n
 
     def r_poly(self, x: int, y: int) -> LaurentPoly:
         """r_{x,y}.  Zero unless x >= y.
