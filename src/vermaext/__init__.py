@@ -30,7 +30,6 @@ from .extbounds import (
 from .hecke import HeckeElement, KLTable, kl_element, mult_by_gen
 from .intervals import (
     EquivPartition,
-    boolean_r_determined,
     class_r_constancy,
     equiv_classes,
     poset_isomorphic,
@@ -70,7 +69,6 @@ __all__ = [
     "all_expected_predicate",
     "bigrassmannian_chain",
     "bm_set",
-    "boolean_r_determined",
     "build_system",
     "class_r_constancy",
     "equiv_classes",

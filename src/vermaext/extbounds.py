@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from .coxeter import CoxeterSystem
 from .hecke import KLTable
+from .intervals import EquivPartition
 from .poly import BiPoly
 from .rpoly import RTable
 
@@ -267,15 +268,11 @@ def r_determined(
         return Certificate(SMALL_LENGTH_GAP)
     if kl is not None and trivial_kl_certificate(kl, y):
         return Certificate(TRIVIAL_KL, detail="y=%s" % system.word_name(y))
-    if partition is not None:
-        hit = partition.boolean_member(x, y)
-        if hit is not None:
-            clause, wx, wy = hit
-            return Certificate(
-                BOOLEAN,
-                detail="clause %s via (%s, %s)"
-                % (clause, system.word_name(wx), system.word_name(wy)),
-            )
+    hit = partition.boolean_member(x, y) if partition is not None else None
+    if hit is not None:
+        clause, wx, wy = hit
+        return Certificate(BOOLEAN, detail="clause %s via (%s, %s)"
+                           % (clause, system.word_name(wx), system.word_name(wy)))
     if system.type_label == "A3":
         return Certificate(TYPE_A3_THEOREM)
     return None
@@ -328,15 +325,23 @@ def all_expected_predicate(
     graded extensions between Vermas are the expected ones.  A True verdict
     is a proof only where a certificate clause is itself a proof (it is, for
     every clause used here); sign consistency alone is only necessary.
+
+    Work is done once per descent class: a move shortening both coordinates
+    on one side keeps r_{x,y} (Bjorner-Brenti, Combinatorics of Coxeter
+    Groups, Ch. 5) and the length gap, so the sign rule and every clause of
+    r_determined but trivial KL, which needs y, are read off least pairs.
+    Only a partition passed in turns on the Boolean clause.
     """
     rt = rt or RTable(system)
     kl = kl or KLTable(system)
-    violations = []
-    uncertified = []
-    for x, y in system.comparable_pairs():
-        bad = rt.sign_compatibility(x, y)
-        if bad:
-            violations.append((x, y, bad))
-        if r_determined(system, x, y, kl=kl, partition=partition) is None:
+    part = partition if partition is not None else EquivPartition(system)
+    least = [members[0] for members in part.classes]
+    signs = [rt.sign_compatibility(x, y) for x, y in least]
+    certified = [r_determined(system, x, y, partition=partition) is not None for x, y in least]
+    violations, uncertified = [], []
+    for (x, y), cid in zip(part.pairs, part.cids):
+        if signs[cid]:
+            violations.append((x, y, list(signs[cid])))
+        if not certified[cid] and not trivial_kl_certificate(kl, y):
             uncertified.append((x, y))
     return AllExpectedReport(system, violations, uncertified)

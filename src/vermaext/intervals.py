@@ -1,14 +1,17 @@
 """Bruhat-pair equivalence classes and interval comparisons.
 
 Two comparable pairs are linked when one simple reflection shortens both
-coordinates simultaneously on the same side; the equivalence closure of
-these moves preserves the whole bigraded ext picture of a pair, so class
-invariants (the R-polynomial, boolean membership of a coordinate) transfer
-across a class.  Equivalent pairs need not have isomorphic Bruhat intervals,
-which poset_isomorphic decides by brute force.
+coordinates on the same side.  Such a move keeps r_{x,y} (Bjorner-Brenti,
+Combinatorics of Coxeter Groups, Ch. 5; class_r_constancy checks it) and
+l(x) - l(y), so the sign rule, the small-gap clause and boolean membership
+in the class are class invariants.  Equivalent pairs need not have
+isomorphic Bruhat intervals, which poset_isomorphic decides by brute force.
 """
 
 from __future__ import annotations
+
+import functools
+from bisect import bisect_left
 
 from .coxeter import CoxeterSystem
 from .rpoly import RTable
@@ -20,13 +23,12 @@ class EquivPartition:
     One flat union-find over the indices of comparable_pairs(), found by the
     int key x * order + y, halving paths inline.  The smaller root wins each
     union, so a root is its class's least pair: class ids follow least pairs
-    and members are in pair order.
+    and members are in pair order.  cids[i] is the class id of pairs[i].
     """
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
-        pairs = system.comparable_pairs()
-        self.pairs = pairs
+        self.pairs = pairs = system.comparable_pairs()
         order, lengths = system.order, system.lengths
         index = {x * order + y: i for i, (x, y) in enumerate(pairs)}
         parent = list(range(len(pairs)))
@@ -58,15 +60,22 @@ class EquivPartition:
                 self.classes.append([])
             cids.append(len(self.classes) - 1 if r == i else cids[r])
             self.classes[cids[i]].append(p)
-        self.class_id = dict(zip(pairs, cids))
+        self.cids = cids
         # boolean_member's answer per class id, filled on first request.
         self._boolean_hit: dict[int, tuple[str, int, int] | None] = {}
 
+    def _cid(self, x: int, y: int) -> int:
+        """Class id of the pair, found by bisection; KeyError unless x >= y."""
+        i = bisect_left(self.pairs, (x, y))
+        if self.pairs[i:i + 1] != [(x, y)]:
+            raise KeyError((x, y))
+        return self.cids[i]
+
     def class_of(self, x: int, y: int) -> list[tuple[int, int]]:
-        return self.classes[self.class_id[(x, y)]]
+        return self.classes[self._cid(x, y)]
 
     def same_class(self, pair1, pair2) -> bool:
-        return self.class_id[pair1] == self.class_id[pair2]
+        return self._cid(*pair1) == self._cid(*pair2)
 
     def class_sizes(self) -> list[int]:
         return sorted(len(c) for c in self.classes)
@@ -80,20 +89,22 @@ class EquivPartition:
         invariant, so each class is searched once and the first witness in
         member order is kept.
         """
-        cid = self.class_id[(x, y)]
+        cid = self._cid(x, y)
         if cid not in self._boolean_hit:
             self._boolean_hit[cid] = self._first_boolean(self.classes[cid])
         return self._boolean_hit[cid]
 
-    def _first_boolean(self, members):
+    @functools.cached_property
+    def _boolean_flags(self) -> tuple[list[bool], list[bool]]:
+        """Per element w: whether w is boolean, and whether w0*w is."""
         sy = self.system
-        for (wx, wy) in members:
-            if sy.is_boolean(wx):
-                return ("x-boolean", wx, wy)
-        for (wx, wy) in members:
-            if sy.is_boolean(sy.mult(sy.w0, wy)):
-                return ("w0y-boolean", wx, wy)
-        return None
+        return ([sy.is_boolean(w) for w in range(sy.order)],
+                [sy.is_boolean(sy.mult(sy.w0, w)) for w in range(sy.order)])
+
+    def _first_boolean(self, members):
+        boolean, coboolean = self._boolean_flags
+        hit = next((("x-boolean", wx, wy) for wx, wy in members if boolean[wx]), None)
+        return hit or next((("w0y-boolean", wx, wy) for wx, wy in members if coboolean[wy]), None)
 
 
 def equiv_classes(system: CoxeterSystem) -> EquivPartition:
@@ -114,20 +125,6 @@ def class_r_constancy(partition: EquivPartition, rt: RTable):
             if p != ref:
                 violations.append(((x0, y0), (x, y), ref, p))
     return not violations, violations
-
-
-def boolean_r_determined(partition: EquivPartition, x: int, y: int):
-    """Certificate that the pair is settled by a boolean/coboolean member.
-
-    Returns ("x-boolean" | "w0y-boolean", witness pair) or None.
-    """
-    if not partition.system.bruhat_leq(y, x):
-        raise ValueError("boolean_r_determined needs x >= y")
-    hit = partition.boolean_member(x, y)
-    if hit is None:
-        return None
-    clause, wx, wy = hit
-    return clause, (wx, wy)
 
 
 # -- graded poset isomorphism ---------------------------------------------------

@@ -56,6 +56,7 @@ class RTable:
         self._memo: dict[int, int] = {}
         self._values = PackedPolys(system.lengths[system.w0] + 1, _from_t)
         self._signs: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._at_one: dict[int, int] = {}
 
     def r_poly(self, x: int, y: int) -> LaurentPoly:
         """r_{x,y}.  Zero unless x >= y.
@@ -126,8 +127,11 @@ class RTable:
         return [p.coeff(k) for k in range(-d, d + 1, 2)]
 
     def delorme_check(self, x: int, y: int) -> bool:
-        """Specialization at v=1 must be the Kronecker delta."""
-        return self.r_poly(x, y).eval_at_one() == (1 if x == y else 0)
+        """Specialization at v=1 must be the Kronecker delta; r(1) is decoded once per value."""
+        n = self._rt(x, y)
+        if n not in self._at_one:
+            self._at_one[n] = self._values.poly(n).eval_at_one()
+        return self._at_one[n] == (1 if x == y else 0)
 
     def sign_compatibility(self, x: int, y: int) -> list[int]:
         """Exponents where the coefficient sign breaks the alternating rule.

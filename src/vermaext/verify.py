@@ -255,6 +255,15 @@ def suite_intervals_a3() -> SuiteResult:
     return res
 
 
+def suite_class_invariants() -> SuiteResult:
+    res = SuiteResult("class-invariants")
+    for label in ("D4", "B4"):
+        sy = build_system(label)
+        ok, _ = class_r_constancy(equiv_classes(sy), RTable(sy))
+        res.check("%s: R constant on classes" % label, ok)
+    return res
+
+
 def suite_typea_s6() -> SuiteResult:
     res = SuiteResult("typea-s6")
     s6 = build_system("A5")
@@ -359,6 +368,7 @@ SUITES = {
     "parabolic-a3": suite_parabolic_a3,
     "delorme": suite_delorme,
     "intervals-a3": suite_intervals_a3,
+    "class-invariants": suite_class_invariants,
     "typea-s6": suite_typea_s6,
     "properties": suite_properties,
 }

@@ -305,8 +305,9 @@ class TestAllExpected:
         assert 0 < len(counted) <= 2 * len(part.pairs)
 
     def test_trivial_kl_checked_once_per_pair(self, monkeypatch):
-        # the memo sits inside trivial_kl_certificate, so r_determined still
-        # calls it for every pair that reaches the trivial-KL clause
+        # the memo sits inside trivial_kl_certificate, so the predicate still
+        # calls it once for every pair whose class has no class-level
+        # certificate: on B3 without a partition, every pair with gap above 3
         b3 = build_system("B3")
         calls = []
         original = extbounds.trivial_kl_certificate
@@ -317,6 +318,28 @@ class TestAllExpected:
         all_expected_predicate(b3, kl=KLTable(b3), rt=RTable(b3))
         gaps = [b3.lengths[x] - b3.lengths[y] for x, y in b3.comparable_pairs()]
         assert len(calls) == sum(1 for d in gaps if d > 3)
+
+    @pytest.mark.parametrize("label", ["A3", "B3", "D4", "B4"])
+    @pytest.mark.parametrize("with_partition", [False, True])
+    def test_class_scan_matches_every_pair(self, label, with_partition):
+        # the predicate reads the sign rule and the class-level clauses off
+        # each class's least pair; recompute both for every pair on its own,
+        # with fresh tables and a fresh partition
+        sy = build_system(label)
+        part = equiv_classes(sy) if with_partition else None
+        report = all_expected_predicate(sy, kl=KLTable(sy), rt=RTable(sy), partition=part)
+        rt, kl = RTable(sy), KLTable(sy)
+        own = equiv_classes(sy) if with_partition else None
+        violations, uncertified = [], []
+        for x, y in sy.comparable_pairs():
+            bad = rt.sign_compatibility(x, y)
+            if bad:
+                violations.append((x, y, bad))
+            if r_determined(sy, x, y, kl=kl, partition=own) is None:
+                uncertified.append((x, y))
+        assert report.sign_violations == violations
+        assert report.uncertified == uncertified
+        assert len({id(bad) for _, _, bad in report.sign_violations}) == len(violations)
 
     def test_d4_false_with_witness(self):
         d4 = build_system("D4")

@@ -3,7 +3,6 @@ import pytest
 from vermaext.coxeter import CoxeterSystem, build_system
 from vermaext.intervals import (
     IntervalTooLargeError,
-    boolean_r_determined,
     class_r_constancy,
     equiv_classes,
     poset_isomorphic,
@@ -29,9 +28,10 @@ class TestPartition:
         assert len(part3.pairs) == A3_PAIR_COUNT
 
     def test_diagonal_single_class(self, a3, part3):
-        base = part3.class_id[(0, 0)]
+        where = dict(zip(part3.pairs, part3.cids))
         for w in range(a3.order):
-            assert part3.class_id[(w, w)] == base
+            assert where[(w, w)] == where[(0, 0)]
+            assert part3.same_class((w, w), (0, 0))
 
     def test_paper_move(self, a3, part3):
         rts = a3.element("r*t*s")
@@ -56,6 +56,14 @@ class TestPartition:
 
     def test_w0_e_is_singleton(self, a3, part3):
         assert part3.class_of(a3.w0, 0) == [(a3.w0, 0)]
+
+    def test_lookup_refuses_incomparable_pairs(self, a3, part3):
+        with pytest.raises(KeyError):
+            part3.class_of(0, a3.w0)
+        with pytest.raises(KeyError):
+            part3.same_class((0, 0), (0, a3.w0))
+        with pytest.raises(KeyError):
+            part3.boolean_member(a3.order, 0)
 
 
 def _bfs_classes(system):
@@ -93,7 +101,7 @@ def test_partition_matches_bfs_closure(label):
     part = equiv_classes(system)
     classes, class_id = _bfs_classes(system)
     assert part.classes == classes
-    assert part.class_id == class_id
+    assert dict(zip(part.pairs, part.cids)) == class_id
 
 
 class TestRConstancy:
@@ -113,17 +121,17 @@ class TestRConstancy:
 
 class TestBooleanCertificate:
     def test_paper_pair(self, a3, part3):
-        cert = boolean_r_determined(part3, a3.element("r*t*s"), 0)
+        cert = part3.boolean_member(a3.element("r*t*s"), 0)
         assert cert is not None
-        clause, (wx, wy) = cert
+        clause, wx, wy = cert
         assert clause == "x-boolean"
         assert a3.is_boolean(wx)
 
     def test_near_longest(self, a3, part3):
         w0s = a3.right[1][a3.w0]
-        cert = boolean_r_determined(part3, a3.w0, w0s)
+        cert = part3.boolean_member(a3.w0, w0s)
         assert cert is not None
-        clause, (wx, wy) = cert
+        clause, wx, wy = cert
         if clause == "x-boolean":
             assert a3.is_boolean(wx)
         else:
@@ -132,17 +140,13 @@ class TestBooleanCertificate:
     def test_d4_top_pair_unknown(self):
         d4 = build_system("D4")
         part = equiv_classes(d4)
-        assert boolean_r_determined(part, d4.w0, 0) is None
-
-    def test_requires_comparable(self, a3, part3):
-        with pytest.raises(ValueError):
-            boolean_r_determined(part3, 0, a3.w0)
+        assert part.boolean_member(d4.w0, 0) is None
 
     def test_sound_against_signs(self, a3, part3):
         # every boolean-certified pair also passes the sign screen
         rt = RTable(a3)
         for x, y in part3.pairs:
-            if boolean_r_determined(part3, x, y) is not None:
+            if part3.boolean_member(x, y) is not None:
                 assert rt.sign_compatibility(x, y) == []
 
 
