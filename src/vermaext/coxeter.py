@@ -358,30 +358,6 @@ class ParabolicSubset:
             w for w in range(system.order) if not (system.left_descents(w) & self.J)
         )
 
-    def decompose_right(self, w: int) -> tuple[int, int]:
-        """w = rep * u with rep a W/W_J minimal representative, u in W_J."""
-        sy = self.system
-        u = 0
-        while True:
-            ds = sy.right_descents(w) & self.J
-            if not ds:
-                return w, sy.inverse[u]
-            j = min(ds)
-            w = sy.right[j][w]
-            u = sy.right[j][u]
-
-    def decompose_left(self, w: int) -> tuple[int, int]:
-        """w = u * rep with u in W_J, rep a W_J\\W minimal representative."""
-        sy = self.system
-        u = 0
-        while True:
-            ds = sy.left_descents(w) & self.J
-            if not ds:
-                return sy.inverse[u], w
-            j = min(ds)
-            w = sy.left[j][w]
-            u = sy.left[j][u]
-
     def __repr__(self):
         names = ",".join(self.system.gen_names[j] for j in sorted(self.J))
         return "ParabolicSubset({%s}, |W_J|=%d)" % (names, len(self.subgroup))

@@ -34,10 +34,6 @@ class TrianglePoint:
     south: bool
     east: bool
 
-    @property
-    def interior(self) -> bool:
-        return not self.expected
-
 
 @dataclass(frozen=True)
 class TriangleRegion:
@@ -51,15 +47,6 @@ class TriangleRegion:
 
     d: int
     points: tuple[TrianglePoint, ...]
-
-    def expected_points(self) -> list[TrianglePoint]:
-        return [p for p in self.points if p.expected]
-
-    def interior_points(self) -> list[TrianglePoint]:
-        return [p for p in self.points if p.interior]
-
-    def shifts_on_line(self, b: int) -> list[TrianglePoint]:
-        return [p for p in self.points if p.b == b]
 
 
 def triangle_region(system: CoxeterSystem, x: int, y: int) -> TriangleRegion:
@@ -330,14 +317,15 @@ def all_expected_predicate(
     on one side keeps r_{x,y} (Bjorner-Brenti, Combinatorics of Coxeter
     Groups, Ch. 5) and the length gap, so the sign rule and every clause of
     r_determined but trivial KL, which needs y, are read off least pairs.
-    Only a partition passed in turns on the Boolean clause.
+    The Boolean/coboolean clause applies on every scan; a partition passed
+    in only saves building one.
     """
     rt = rt or RTable(system)
     kl = kl or KLTable(system)
     part = partition if partition is not None else EquivPartition(system)
     least = [members[0] for members in part.classes]
     signs = [rt.sign_compatibility(x, y) for x, y in least]
-    certified = [r_determined(system, x, y, partition=partition) is not None for x, y in least]
+    certified = [r_determined(system, x, y, partition=part) is not None for x, y in least]
     violations, uncertified = [], []
     for (x, y), cid in zip(part.pairs, part.cids):
         if signs[cid]:

@@ -170,10 +170,6 @@ class KLTable:
         """p_{x,y}; zero unless x <= y, with p_{x,x} = 1."""
         return self._values.poly(self._row(y).get(x, 0))
 
-    def mu(self, x: int, y: int) -> int:
-        """Coefficient of v in p_{x,y}, the correction term of the induction."""
-        return (self._row(y).get(x, 0) >> self._values.bits) & self._values.mask
-
     def nontrivial_from(self, x: int) -> list[tuple[int, LaurentPoly]]:
         """All y >= x whose p_{x,y} is not the single monomial v^(l(y)-l(x))."""
         ys = sorted(range(self.system.order), key=lambda y: (self.system.lengths[y], y))
@@ -189,30 +185,6 @@ class KLTable:
         """Precompute the whole triangular table (small groups only)."""
         for y in sorted(range(self.system.order), key=lambda w: self.system.lengths[w]):
             self._row(y)
-
-    def standard_in_kl_basis(self, w: int) -> dict[int, LaurentPoly]:
-        """Expand h_w as a combination of canonical basis elements.
-
-        Triangular back-substitution; composing with kl_basis_element is the
-        identity, which pins the inversion convention used by the R-oracle.
-        """
-        sy = self.system
-        rem = {w: ONE}
-        out = {}
-        for y in sorted(range(sy.order), key=lambda z: (-sy.lengths[z], z)):
-            c = rem.get(y)
-            if not c:
-                continue
-            out[y] = c
-            for x, p in self.kl_basis_element(y).items():
-                q = rem.get(x, LaurentPoly()) - p * c
-                if q:
-                    rem[x] = q
-                elif x in rem:
-                    del rem[x]
-        if rem:
-            raise AssertionError("triangular solve left a nonzero remainder")
-        return out
 
 
 def kl_element(table: KLTable, w: int) -> HeckeElement:

@@ -160,15 +160,13 @@ def _interval_poset(system: CoxeterSystem, y: int, x: int):
 
 def poset_isomorphic(
     system1: CoxeterSystem, interval1: tuple[int, int],
-    system2: CoxeterSystem | None = None, interval2: tuple[int, int] | None = None,
+    system2: CoxeterSystem, interval2: tuple[int, int],
 ) -> bool:
     """Graded-poset isomorphism of two Bruhat intervals, by backtracking.
 
     Intervals are given as (y, x) with y <= x.  Degree profiles per rank act
     as a cheap filter before the level-by-level search.
     """
-    if system2 is None:
-        system2 = system1
     y1, x1 = interval1
     y2, x2 = interval2
     r1, up1, down1 = _interval_poset(system1, y1, x1)

@@ -36,10 +36,6 @@ class LaurentPoly:
                         del clean[k]
         self._terms = clean
 
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other):
@@ -137,9 +133,6 @@ class LaurentPoly:
 
     def coeff(self, k: int) -> int:
         return self._terms.get(k, 0)
-
-    def support(self) -> list[int]:
-        return sorted(self._terms)
 
     def items(self):
         """(exponent, coefficient) pairs in ascending exponent order."""
@@ -257,38 +250,6 @@ class BiPoly:
         out = BiPoly.__new__(BiPoly)
         out._terms = terms
         return out
-
-    def __neg__(self):
-        out = BiPoly.__new__(BiPoly)
-        out._terms = {k: -c for k, c in self._terms.items()}
-        return out
-
-    def __sub__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            out = BiPoly.__new__(BiPoly)
-            out._terms = {k: c * other for k, c in self._terms.items()} if other else {}
-            return out
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        terms = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                k = (a1 + a2, b1 + b2)
-                c0 = terms.get(k, 0) + c1 * c2
-                if c0:
-                    terms[k] = c0
-                elif k in terms:
-                    del terms[k]
-        out = BiPoly.__new__(BiPoly)
-        out._terms = terms
-        return out
-
-    __rmul__ = __mul__
 
     def __bool__(self):
         return bool(self._terms)

@@ -6,8 +6,6 @@ group has 2,903,040 elements and is never enumerated here (the default cap
 refuses it), so the list is carried as a constant.
 """
 
-from .poly import BiPoly, LaurentPoly
-
 # Element order for the 6x6 rank-2 tables: identity first, then by word.
 A2_ORDER = ["e", "s1", "s2", "s1*s2", "s2*s1", "s1*s2*s1"]
 
@@ -96,10 +94,3 @@ A3_CLASS_COUNT = 14
 A3_CLASS_SIZES = [1, 1, 1, 2, 4, 4, 6, 10, 12, 12, 24, 26, 52, 58]
 A3_PAIR_COUNT = 213
 
-
-def laurent(table: dict) -> LaurentPoly:
-    return LaurentPoly(table)
-
-
-def bipoly(table: dict) -> BiPoly:
-    return BiPoly(table)

@@ -296,10 +296,10 @@ def suite_typea_s6() -> SuiteResult:
     return res
 
 
-def suite_properties(seed: int = 20240811, replays: int = 1000) -> SuiteResult:
+def suite_properties() -> SuiteResult:
     """Exhaustive small-group invariants plus randomized recursion replays."""
     res = SuiteResult("properties")
-    rng = random.Random(seed)
+    rng = random.Random(20240811)
     for label in ("A3", "B3", "D4"):
         sy = build_system(label)
         kl = KLTable(sy)
@@ -327,8 +327,9 @@ def suite_properties(seed: int = 20240811, replays: int = 1000) -> SuiteResult:
             elif any((k - d) % 2 for k, _ in p.items()):
                 bad += 1
         res.expect_equal("%s: R endpoint and parity invariants" % label, bad, 0)
-    # ascent-choice independence, split across the two smaller groups
-    for label, n_replays in (("A3", replays // 2), ("B3", replays - replays // 2)):
+    # ascent-choice independence: 1000 seeded replays, split across the two
+    # smaller groups
+    for label, n_replays in (("A3", 500), ("B3", 500)):
         sy = build_system(label)
         rt = RTable(sy)
         pairs = sy.comparable_pairs()

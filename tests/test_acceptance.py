@@ -112,7 +112,7 @@ def test_criterion_10_typea_predictor():
 
 
 def test_criterion_11_property_suites():
-    run_within(11, "properties", 120.0, lambda: suite_properties(replays=1000))
+    run_within(11, "properties", 120.0, suite_properties)
 
 
 def test_criterion_12_e7_guard():

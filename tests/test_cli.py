@@ -258,6 +258,31 @@ class TestDeterminismAndCache:
         assert code == 0
         assert json.loads(path.read_text())["var"] == "v"
 
+    def test_back_to_back_runs_share_no_state(self, capsys, tmp_path):
+        # one process, several run() calls: nothing a call parses may carry
+        # over into the next one
+        path = tmp_path / "out.txt"
+        argv = ["rpoly", "--type", "A2", "--from", "w0", "--to", "e"]
+        assert capture(capsys, argv + ["--output", str(path)]) == (0, "")
+        written = path.read_text()
+        assert capture(capsys, argv) == (0, written)
+        assert path.read_text() == written
+
+        # prpoly and srpoly share one handler and differ only in the kind
+        # their subparser sets
+        outs = {}
+        for kind in ("prpoly", "srpoly", "prpoly", "srpoly"):
+            code, out = capture(capsys, [kind, "--type", "A2", "--J", "s1", "--table"])
+            assert code == 0
+            assert outs.setdefault(kind, out) == out
+        assert outs["prpoly"] != outs["srpoly"]
+
+        with pytest.raises(SystemExit) as exc:
+            run(["rpoly", "--from", "w0", "--to", "e"])  # no --type
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert capture(capsys, argv) == (0, written)
+
 
 class TestVerifyCommand:
     def test_single_suite(self, capsys):

@@ -258,16 +258,6 @@ class TestParabolic:
         for J in ([0], [0, 2], [1, 2]):
             par = b3.parabolic(J)
             assert len(par.coset_reps_right) * len(par.subgroup) == b3.order
-            for w in range(b3.order):
-                rep, u = par.decompose_right(w)
-                assert rep in par.coset_reps_right
-                assert u in par.subgroup
-                assert b3.mult(rep, u) == w
-                assert b3.lengths[rep] + b3.lengths[u] == b3.lengths[w]
-                uu, rep2 = par.decompose_left(w)
-                assert rep2 in par.coset_reps_left and uu in par.subgroup
-                assert b3.mult(uu, rep2) == w
-                assert b3.lengths[uu] + b3.lengths[rep2] == b3.lengths[w]
 
 
 class TestParsing:

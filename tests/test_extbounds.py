@@ -52,9 +52,9 @@ class TestTriangleRegion:
 
     def test_d4_edge_and_interior(self, a3):
         region = triangle_region(a3, a3.element("s*r*t*s"), 0)
-        assert [(p.a, p.b) for p in region.expected_points()] == [
+        assert [(p.a, p.b) for p in region.points if p.expected] == [
             (0, -4), (1, -2), (2, 0), (3, 2), (4, 4)]
-        assert [(p.a, p.b) for p in region.interior_points()] == [(1, 0)]
+        assert [(p.a, p.b) for p in region.points if not p.expected] == [(1, 0)]
 
     def test_invariant_inequalities(self, a3):
         for x, y in a3.comparable_pairs():
@@ -67,10 +67,6 @@ class TestTriangleRegion:
                 # dashed edges excluded
                 assert not (p.b == p.a and p.a < d and not p.south)
                 assert not (p.a == 0 and p.b > -d)
-
-    def test_parity_mismatch_lines_empty(self, a3):
-        region = triangle_region(a3, a3.element("r*s*t"), 0)
-        assert region.shifts_on_line(0) == []
 
     def test_requires_comparable(self, a3):
         with pytest.raises(ValueError):
@@ -165,7 +161,9 @@ class TestRefinedBound:
     def test_trivial_pairs_vanish_inside(self, a3, kl3):
         x = a3.element("r*s*t")
         region = triangle_region(a3, x, 0)
-        for p in region.interior_points():
+        for p in region.points:
+            if p.expected:
+                continue
             assert refined_bound(kl3, x, 0, p.a, p.b) == 0
 
     def test_b3(self):
@@ -178,7 +176,9 @@ class TestRefinedBound:
     def test_never_negative(self, a3, kl3):
         for x, y in a3.comparable_pairs():
             region = triangle_region(a3, x, y)
-            for p in region.interior_points():
+            for p in region.points:
+                if p.expected:
+                    continue
                 assert refined_bound(kl3, x, y, p.a, p.b) >= 0
 
 
@@ -307,7 +307,8 @@ class TestAllExpected:
     def test_trivial_kl_checked_once_per_pair(self, monkeypatch):
         # the memo sits inside trivial_kl_certificate, so the predicate still
         # calls it once for every pair whose class has no class-level
-        # certificate: on B3 without a partition, every pair with gap above 3
+        # certificate (rank 2, small gap, Boolean, type A3); no partition is
+        # passed here, and the Boolean clause applies all the same
         b3 = build_system("B3")
         calls = []
         original = extbounds.trivial_kl_certificate
@@ -316,20 +317,23 @@ class TestAllExpected:
             lambda kl, y: calls.append(y) or original(kl, y),
         )
         all_expected_predicate(b3, kl=KLTable(b3), rt=RTable(b3))
-        gaps = [b3.lengths[x] - b3.lengths[y] for x, y in b3.comparable_pairs()]
-        assert len(calls) == sum(1 for d in gaps if d > 3)
+        part = equiv_classes(b3)
+        bare = [members for members in part.classes
+                if r_determined(b3, *members[0], partition=part) is None]
+        assert 0 < len(calls) == sum(len(members) for members in bare)
 
     @pytest.mark.parametrize("label", ["A3", "B3", "D4", "B4"])
     @pytest.mark.parametrize("with_partition", [False, True])
     def test_class_scan_matches_every_pair(self, label, with_partition):
         # the predicate reads the sign rule and the class-level clauses off
         # each class's least pair; recompute both for every pair on its own,
-        # with fresh tables and a fresh partition
+        # with fresh tables and a fresh partition.  The Boolean clause applies
+        # either way, so both cases must give this one report.
         sy = build_system(label)
         part = equiv_classes(sy) if with_partition else None
         report = all_expected_predicate(sy, kl=KLTable(sy), rt=RTable(sy), partition=part)
         rt, kl = RTable(sy), KLTable(sy)
-        own = equiv_classes(sy) if with_partition else None
+        own = equiv_classes(sy)
         violations, uncertified = [], []
         for x, y in sy.comparable_pairs():
             bad = rt.sign_compatibility(x, y)

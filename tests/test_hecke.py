@@ -98,9 +98,9 @@ class TestCanonicalBasis:
                 assert not a3.is_boolean(y)
 
     def test_mu(self, a3, kl3):
-        assert kl3.mu(0, 0) == 0
-        assert kl3.mu(0, a3.element("s1")) == 1
-        assert kl3.mu(0, a3.element("s*r*t*s")) == 0
+        assert kl3.kl_poly(0, 0).coeff(1) == 0
+        assert kl3.kl_poly(0, a3.element("s1")).coeff(1) == 1
+        assert kl3.kl_poly(0, a3.element("s*r*t*s")).coeff(1) == 0
 
     def test_support_condition(self, a3, kl3):
         for y in range(a3.order):
@@ -149,16 +149,6 @@ class TestInvariants:
                 if z != u and p.coeff(1) and sy.lengths[sy.right[s][z]] < sy.lengths[z]:
                     route = route - kl_element(kl, z).scale(p.coeff(1))
             assert route == kl_element(kl, y), sy.word_name(y)
-
-    def test_inversion_round_trip(self, a3, kl3):
-        for w in range(a3.order):
-            expansion = kl3.standard_in_kl_basis(w)
-            acc = {}
-            for y, c in expansion.items():
-                for x, p in kl3.kl_basis_element(y).items():
-                    acc[x] = acc.get(x, LaurentPoly()) + p * c
-            acc = {x: p for x, p in acc.items() if p}
-            assert acc == {w: ONE}
 
     def test_boolean_targets_trivial(self, a3, kl3):
         b3 = build_system("B3")
