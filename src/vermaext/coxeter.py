@@ -1,10 +1,12 @@
 """Finite crystallographic Coxeter systems with fully enumerated elements.
 
-A group is built once by breadth-first search acting on integer weight
-coordinates, then frozen: every element is a dense index, multiplication by a
-generator is a table lookup, and each element knows its ShortLex-minimal
-reduced word.  Everything downstream (Hecke algebra, R-polynomials, Bruhat
-scans) works with these indices.
+A group is built once, one length stratum at a time: the integer weights of
+a stratum are one numpy array, the next stratum is their reflections along
+ascents with repeats dropped, and weights are told apart by int64 keys.  Then
+it is frozen: every element is a dense index, multiplication by a generator
+is a table lookup, and each element knows its ShortLex-minimal reduced word.
+Everything downstream (Hecke algebra, R-polynomials, Bruhat scans) works with
+these indices.
 
 Supported types: A_n (n>=1), B_n/C_n (n>=2), D_n (n>=4), E6/E7/E8, F4, G2.
 Type B3 uses the generator names s0, s1, s2 with the double bond between
@@ -110,6 +112,24 @@ def expected_order(label: str) -> int:
     return _cartan_and_names(label)[2]
 
 
+# Weight keys: coordinates in (-64, 64) as the digits of one base-128 int64.
+# Digits from a complete residue system make the key injective, and nine
+# digits fit, since 63 * (128**9 - 1) / 127 < 2**63.
+_RADIX = 128
+_POWERS = _RADIX ** np.arange(9, dtype=np.int64)
+
+
+def _pack_keys(lam):
+    """One int64 key per row of the int64 array lam (the last axis is the
+    coordinate axis); ValueError if a coordinate or the rank does not fit."""
+    rank = lam.shape[-1]
+    if rank > len(_POWERS):
+        raise ValueError("rank %d does not fit a weight key" % rank)
+    if np.abs(lam).max() >= _RADIX // 2:
+        raise ValueError("weight coordinate beyond %d does not fit a key" % (_RADIX // 2 - 1))
+    return lam @ _POWERS[:rank]
+
+
 class CoxeterSystem:
     """A fully enumerated finite Weyl group.
 
@@ -123,77 +143,97 @@ class CoxeterSystem:
         self.cartan = tuple(tuple(row) for row in cartan)
         self.gen_names = list(gen_names)
         self.rank = len(gen_names)
-        self._enumerate()
         # Bruhat downset rows, one packed little-endian bit row per upper
-        # element, built on first request (see _downset_row).
-        self._perms = [np.asarray(r, dtype=np.intp) for r in self.right]
+        # element, built on first request (see _downset_row), by permuting
+        # with the rows of the right multiplication table.
+        self._perms = list(self._enumerate())
         self._rows: dict[int, bytes] = {0: bytes([1]).ljust((self.order + 7) // 8, b"\0")}
         self._names: dict[int, str] = {0: "e"}
 
     # -- construction --------------------------------------------------------
 
     def _enumerate(self):
-        rank = self.rank
-        cartan = self.cartan
-        rho = tuple([1] * rank)
+        """Fill the element tables; return `right` as a (rank, order) array.
 
-        def reflect(lam, j):
-            lj = lam[j]
-            return tuple(lam[i] - lj * cartan[i][j] for i in range(rank))
+        The weight of w is w^-1 rho in fundamental-weight coordinates, so
+        right multiplication by s_j reflects it, lam - lam[j] * alpha_j, and
+        s_j is an ascent of w iff lam[j] > 0.  Stratum l + 1 is made from
+        the ascents (p, j) of stratum l, whose rows are in ShortLex order.
+        In row-major order the ascents are ordered by (parent position,
+        generator), which is the lexicographic order of the words
+        word(p) + (j,), so the first candidate reaching an element spells
+        its ShortLex-minimal word.
+        """
+        rank, cartan = self.rank, self.cartan
+        # Column j*rank + i of `reflect` gives coordinate i of s_j lam, which
+        # is lam[i] - lam[j] * cartan[i][j].
+        reflect = np.array([[(k == i) - (k == j) * cartan[i][j]
+                             for j in range(rank) for i in range(rank)]
+                            for k in range(rank)], dtype=np.int64)
+        lam = np.array([[1] * rank], dtype=np.int64)  # rho, the weight of e
+        # One code per element, parent * rank + last generator; e gets 0.
+        strata, codes = [lam], [np.zeros(1, np.int64)]
+        start = 0  # index of the first element of stratum lam
+        while True:
+            ascent = (lam > 0).ravel()
+            cand = (lam @ reflect).reshape(-1, rank)[ascent]
+            if not len(cand):
+                break
+            keys = _pack_keys(cand)
+            by_key = keys.argsort(kind="stable")
+            sorted_keys = keys[by_key]
+            first = np.empty(len(keys), dtype=bool)
+            first[by_key] = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+            # ascent.nonzero() holds p * rank + j for each candidate (p, j)
+            codes.append(start * rank + ascent.nonzero()[0][first])
+            start += len(lam)
+            lam = cand[first]
+            strata.append(lam)
+        parent, gen = np.divmod(np.concatenate(codes), rank)
+        weights = np.concatenate(strata)
+        order = len(weights)
 
-        # BFS stratum by stratum.  Processing each stratum in lexicographic
-        # word order and trying generators in increasing index order makes the
-        # first discovery of an element use its ShortLex-minimal reduced word.
-        index_of = {rho: 0}
+        # Keys are linear in the weight, so the key of s_j lam is
+        # key(lam) - lam[j] * key(alpha_j).  s_j lam is a weight, packed and
+        # checked above, so this is its key exactly, and it is found.
+        keys = _pack_keys(weights)
+        by_key = keys.argsort(kind="stable")
+        alpha_keys = _pack_keys(np.array(cartan, dtype=np.int64).T)  # row j: alpha_j
+        right = by_key[keys[by_key].searchsorted(keys - weights.T * alpha_keys[:, None])]
+
         words = [()]
-        states = [rho]
-        stratum = [((), rho)]
-        while stratum:
-            nxt = {}
-            for word, lam in stratum:
-                for j in range(rank):
-                    if lam[j] < 0:
-                        continue  # descent: already seen, shorter
-                    mu = reflect(lam, j)
-                    if mu in index_of or mu in nxt:
-                        continue
-                    nxt[mu] = word + (j,)
-            stratum = sorted(((w, s) for s, w in nxt.items()), key=lambda t: t[0])
-            for word, lam in stratum:
-                index_of[lam] = len(states)
-                states.append(lam)
-                words.append(word)
+        for p, j in zip(parent.tolist()[1:], gen.tolist()[1:]):
+            words.append(words[p] + (j,))
 
-        self.order = len(states)
-        self.canonical_words = words
-        self.lengths = [len(w) for w in words]
-        self.e = 0
-        self.w0 = self.order - 1
+        # Replay every word from the right, all elements at once, one letter
+        # per step.  A word that has run out sits at e, whose generator is
+        # set to the padding row of `step`, which fixes everything.
+        gen[0] = rank
+        step = np.concatenate((right, np.arange(order)[None]))
+        inverse = np.zeros(order, np.intp)
+        cur = np.arange(order)
+        for _ in strata[1:]:
+            inverse = step[gen[cur], inverse]
+            cur = parent[cur]
+        left = inverse[right[:, inverse]]
+
         # The lowest s with ws > w (lam[s] > 0), rank for w0; one byte each.
-        self.first_ascent = bytes(next((j for j in range(rank) if lam[j] > 0), rank)
-                                  for lam in states)
+        # It is rank minus the largest rank - s over the ascents s.
+        first_ascent = rank - ((weights > 0) * np.arange(rank, 0, -1)).max(1)
 
-        # Per-generator right multiplication tables from the state map.
-        right = [[0] * self.order for _ in range(rank)]
-        for w, lam in enumerate(states):
-            for j in range(rank):
-                right[j][w] = index_of[reflect(lam, j)]
-        self.right = right
-
-        inverse = [0] * self.order
-        for w, word in enumerate(words):
-            x = 0
-            for j in reversed(word):
-                x = right[j][x]
-            inverse[w] = x
-        self.inverse = inverse
-
-        left = [[0] * self.order for _ in range(rank)]
-        for j in range(rank):
-            rj = right[j]
-            for w in range(self.order):
-                left[j][w] = inverse[rj[inverse[w]]]
-        self.left = left
+        self.order = order
+        self.canonical_words = words
+        self.lengths = [length for length, lam in enumerate(strata) for _ in range(len(lam))]
+        self.e = 0
+        self.w0 = order - 1
+        self.first_ascent = first_ascent.astype(np.uint8).tobytes()
+        # One int object per element, shared by every table: tolist() on
+        # an int array would make a new one for every entry.
+        elements = np.arange(order).astype(object)
+        self.right = elements[right].tolist()
+        self.left = elements[left].tolist()
+        self.inverse = elements[inverse].tolist()
+        return right
 
     # -- basic group operations ----------------------------------------------
 

@@ -237,15 +237,17 @@ def r_determined(
     x: int,
     y: int,
     kl: KLTable | None = None,
-    partition=None,
+    *,
+    partition,
 ) -> Certificate | None:
     """Strongest available certificate that every graded extension of the
     pair is the expected-edge dimension given by the R-coefficients.
 
     Clauses, strongest first: rank at most 2; length gap at most 3; trivial
-    KL data above y; a boolean or coboolean member in the pair's descent
-    equivalence class (needs the partition); the proven type A3 statement.
-    Returns None when nothing applies.
+    KL data above y (when ``kl`` is given); a boolean or coboolean member in
+    the pair's class of ``partition``, the system's descent equivalence
+    partition; the proven type A3 statement.  Returns None when nothing
+    applies.
     """
     if not system.bruhat_leq(y, x):
         raise ValueError("r_determined needs x >= y")
@@ -255,7 +257,7 @@ def r_determined(
         return Certificate(SMALL_LENGTH_GAP)
     if kl is not None and trivial_kl_certificate(kl, y):
         return Certificate(TRIVIAL_KL, detail="y=%s" % system.word_name(y))
-    hit = partition.boolean_member(x, y) if partition is not None else None
+    hit = partition.boolean_member(x, y)
     if hit is not None:
         clause, wx, wy = hit
         return Certificate(BOOLEAN, detail="clause %s via (%s, %s)"

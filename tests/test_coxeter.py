@@ -1,11 +1,77 @@
+import numpy as np
 import pytest
 
 from vermaext.coxeter import (
     CapExceededError,
     UnsupportedTypeError,
+    _pack_keys,
     build_system,
     expected_order,
 )
+
+TABLES = ("canonical_words", "lengths", "first_ascent", "right", "left", "inverse")
+
+
+def reference_tables(system):
+    """The element tables of `system` by a pure-Python breadth-first search.
+
+    Each stratum is processed in lexicographic word order and generators are
+    tried in increasing index order, so the first discovery of an element
+    uses its ShortLex-minimal reduced word.  Weights are tuples of integer
+    coordinates; s_j is an ascent of the weight lam iff lam[j] > 0.
+    """
+    rank, cartan = system.rank, system.cartan
+    rho = tuple([1] * rank)
+
+    def reflect(lam, j):
+        lj = lam[j]
+        return tuple(lam[i] - lj * cartan[i][j] for i in range(rank))
+
+    index_of = {rho: 0}
+    words = [()]
+    states = [rho]
+    stratum = [((), rho)]
+    while stratum:
+        nxt = {}
+        for word, lam in stratum:
+            for j in range(rank):
+                if lam[j] < 0:
+                    continue  # descent: already seen, shorter
+                mu = reflect(lam, j)
+                if mu in index_of or mu in nxt:
+                    continue
+                nxt[mu] = word + (j,)
+        stratum = sorted(((w, s) for s, w in nxt.items()), key=lambda t: t[0])
+        for word, lam in stratum:
+            index_of[lam] = len(states)
+            states.append(lam)
+            words.append(word)
+
+    order = len(states)
+    right = [[index_of[reflect(lam, j)] for lam in states] for j in range(rank)]
+    inverse = [0] * order
+    for w, word in enumerate(words):
+        x = 0
+        for j in reversed(word):
+            x = right[j][x]
+        inverse[w] = x
+    left = [[inverse[rj[inverse[w]]] for w in range(order)] for rj in right]
+    return {
+        "canonical_words": words,
+        "lengths": [len(w) for w in words],
+        "first_ascent": bytes(next((j for j in range(rank) if lam[j] > 0), rank)
+                              for lam in states),
+        "right": right,
+        "left": left,
+        "inverse": inverse,
+    }
+
+
+def assert_matches_reference(system):
+    want = reference_tables(system)
+    assert system.order == len(want["lengths"])
+    for name in TABLES:
+        assert getattr(system, name) == want[name], name
 
 
 @pytest.fixture(scope="module")
@@ -88,19 +154,18 @@ class TestStructure:
         keys = [(a3.lengths[w], a3.canonical_words[w]) for w in range(a3.order)]
         assert keys == sorted(keys)
 
-    @pytest.mark.parametrize("label", ["A3", "B3"])
+    @pytest.mark.parametrize("label", ["G2", "A3", "B3", "D4"])
     def test_canonical_words_are_shortlex_minimal(self, label):
         # brute force over every reduced word via the descent recursion
         sy = build_system(label)
+        memo = {0: [()]}
 
         def reduced_words(w):
-            if w == 0:
-                return [()]
-            out = []
-            for s in sorted(sy.right_descents(w)):
-                for word in reduced_words(sy.right[s][w]):
-                    out.append(word + (s,))
-            return out
+            if w not in memo:
+                memo[w] = [word + (s,)
+                           for s in sorted(sy.right_descents(w))
+                           for word in reduced_words(sy.right[s][w])]
+            return memo[w]
 
         for w in range(sy.order):
             assert min(reduced_words(w)) == sy.canonical_words[w]
@@ -120,6 +185,56 @@ class TestStructure:
         for sy in (a3, b3):
             for w in range(sy.order):
                 assert sy.lengths[sy.conj_w0(w)] == sy.lengths[w]
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("label", [
+        "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5",
+        "C3", "D4", "D5", "F4", "G2",
+    ])
+    def test_matches_reference_search(self, label):
+        assert_matches_reference(build_system(label))
+
+    def test_public_types(self):
+        sy = build_system("B3")
+        assert type(sy.first_ascent) is bytes
+        assert type(sy.lengths) is list and type(sy.inverse) is list
+        assert all(type(row) is list for row in sy.right + sy.left)
+        assert type(sy.canonical_words) is list
+        assert all(type(word) is tuple for word in sy.canonical_words)
+        tables = [sy.lengths, sy.inverse, *sy.right, *sy.left]
+        assert all(type(x) is int for table in tables for x in table)
+        assert all(type(j) is int for word in sy.canonical_words for j in word)
+
+    def test_tables_share_one_int_per_element(self):
+        # D5 has 1,920 elements, beyond the interpreter's small-int cache
+        sy = build_system("D5")
+        ids = {id(x) for table in (sy.inverse, *sy.right, *sy.left) for x in table}
+        assert len(ids) == sy.order
+
+    def test_e6_invariants(self):
+        sy = build_system("E6")
+        order = np.arange(sy.order)
+        lengths = np.array(sy.lengths)
+        inverse = np.array(sy.inverse)
+        assert (inverse[inverse] == order).all()
+        for j in range(sy.rank):
+            right, left = np.array(sy.right[j]), np.array(sy.left[j])
+            assert (right[right] == order).all()
+            assert (abs(lengths[right] - lengths) == 1).all()
+            assert (left == inverse[right[inverse]]).all()
+        for w in range(1, sy.order):
+            word = sy.canonical_words[w]
+            assert len(word) == sy.lengths[w]
+            assert sy.canonical_words[sy.right[word[-1]][w]] == word[:-1]
+
+    def test_key_packing_refuses_what_does_not_fit(self):
+        assert _pack_keys(np.array([[63, -63]])).tolist() == [63 - 63 * 128]
+        for lam in ([[64, 0]], [[0, -64]]):
+            with pytest.raises(ValueError):
+                _pack_keys(np.array(lam))
+        with pytest.raises(ValueError):
+            _pack_keys(np.zeros((1, 10), dtype=np.int64))
 
 
 class TestBruhat:

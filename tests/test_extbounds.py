@@ -230,18 +230,19 @@ class TestExpectedDims:
 class TestCertificates:
     def test_rank2(self):
         a2 = build_system("A2")
+        part = equiv_classes(a2)
         for x, y in a2.comparable_pairs():
-            assert r_determined(a2, x, y).kind == RANK2
+            assert r_determined(a2, x, y, partition=part).kind == RANK2
 
     def test_small_gap(self, a3, kl3):
         x = a3.element("r*s*t")
-        assert r_determined(a3, x, 0).kind == SMALL_LENGTH_GAP
+        assert r_determined(a3, x, 0, partition=equiv_classes(a3)).kind == SMALL_LENGTH_GAP
 
     def test_trivial_kl_clause(self):
         b3 = build_system("B3")
         kl = KLTable(b3)
         # the antidominant end always satisfies the trivial-KL condition
-        cert = r_determined(b3, b3.w0, b3.w0, kl=kl)
+        cert = r_determined(b3, b3.w0, b3.w0, kl=kl, partition=equiv_classes(b3))
         assert cert is not None
 
     @pytest.mark.parametrize("label", ["A3", "B3"])
@@ -278,7 +279,15 @@ class TestCertificates:
 
     def test_requires_comparable(self, a3):
         with pytest.raises(ValueError):
-            r_determined(a3, 0, a3.w0)
+            r_determined(a3, 0, a3.w0, partition=equiv_classes(a3))
+
+    def test_requires_partition(self):
+        # without a partition the Boolean clause could not be tried, so the
+        # call is refused rather than answered with a weaker certificate
+        d4 = build_system("D4")
+        w = d4.element("s1*s2*s3*s4")
+        with pytest.raises(TypeError):
+            r_determined(d4, w, 0, kl=KLTable(d4))
 
 
 class TestAllExpected:
