@@ -16,7 +16,8 @@ s0 and s1; all other types use s1..sn in Bourbaki numbering.
 from __future__ import annotations
 
 import re
-from functools import reduce
+from functools import cached_property, reduce
+from itertools import repeat
 
 import numpy as np
 
@@ -130,6 +131,18 @@ def _pack_keys(lam):
     return lam @ _POWERS[:rank]
 
 
+def _pack_fields(fields):
+    """One int per row of the nonnegative int array fields, one byte per
+    entry, the first entry lowest; ValueError if an entry reaches 128, since
+    the dominance test needs the top bit of every byte clear."""
+    if fields.max() >= 128:
+        raise ValueError("key field %d does not fit 7 bits" % fields.max())
+    rows = fields.astype(np.uint8).reshape(len(fields), -1)
+    # A bytes item drops its trailing zero bytes, the high ones here.
+    return list(map(int.from_bytes, rows.view("S%d" % rows.shape[1]).ravel().tolist(),
+                    repeat("little")))
+
+
 class CoxeterSystem:
     """A fully enumerated finite Weyl group.
 
@@ -145,8 +158,9 @@ class CoxeterSystem:
         self.rank = len(gen_names)
         # Bruhat downset rows, one packed little-endian bit row per upper
         # element, built on first request (see _downset_row), by permuting
-        # with the rows of the right multiplication table.
-        self._perms = list(self._enumerate())
+        # with the rows of the right multiplication table, kept as one
+        # (rank, order) array.
+        self._perms = self._enumerate()
         self._rows: dict[int, bytes] = {0: bytes([1]).ljust((self.order + 7) // 8, b"\0")}
         self._names: dict[int, str] = {0: "e"}
 
@@ -173,6 +187,8 @@ class CoxeterSystem:
         lam = np.array([[1] * rank], dtype=np.int64)  # rho, the weight of e
         # One code per element, parent * rank + last generator; e gets 0.
         strata, codes = [lam], [np.zeros(1, np.int64)]
+        # Every ascent (p, j) as p * rank + j, and the element p s_j it reaches
+        moves, targets = [], []
         start = 0  # index of the first element of stratum lam
         while True:
             ascent = (lam > 0).ravel()
@@ -182,24 +198,32 @@ class CoxeterSystem:
             keys = _pack_keys(cand)
             by_key = keys.argsort(kind="stable")
             sorted_keys = keys[by_key]
+            new = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
             first = np.empty(len(keys), dtype=bool)
-            first[by_key] = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+            first[by_key] = new
+            # A candidate reaches the element its group's first candidate
+            # became: that one's position among the kept candidates.
+            reached = np.empty(len(keys), dtype=np.int64)
+            reached[by_key] = (first.cumsum() - 1)[by_key[new]][new.cumsum() - 1]
             # ascent.nonzero() holds p * rank + j for each candidate (p, j)
-            codes.append(start * rank + ascent.nonzero()[0][first])
+            flat = start * rank + ascent.nonzero()[0]
+            codes.append(flat[first])
             start += len(lam)
+            moves.append(flat)
+            targets.append(start + reached)
             lam = cand[first]
             strata.append(lam)
         parent, gen = np.divmod(np.concatenate(codes), rank)
         weights = np.concatenate(strata)
         order = len(weights)
 
-        # Keys are linear in the weight, so the key of s_j lam is
-        # key(lam) - lam[j] * key(alpha_j).  s_j lam is a weight, packed and
-        # checked above, so this is its key exactly, and it is found.
-        keys = _pack_keys(weights)
-        by_key = keys.argsort(kind="stable")
-        alpha_keys = _pack_keys(np.array(cartan, dtype=np.int64).T)  # row j: alpha_j
-        right = by_key[keys[by_key].searchsorted(keys - weights.T * alpha_keys[:, None])]
+        # An ascent (p, j) reaching w is the descent (w, j) reaching p, and
+        # every descent is one of these.
+        src, s = np.divmod(np.concatenate(moves), rank)
+        dst = np.concatenate(targets)
+        right = np.empty((rank, order), dtype=np.intp)
+        right[s, src] = dst
+        right[s, dst] = src
 
         words = [()]
         for p, j in zip(parent.tolist()[1:], gen.tolist()[1:]):
@@ -234,6 +258,39 @@ class CoxeterSystem:
         self.left = elements[left].tolist()
         self.inverse = elements[inverse].tolist()
         return right
+
+    @cached_property
+    def dominance_keys(self) -> tuple[list[int], int]:
+        """(keys, high): one packed key per element, for a necessary test of
+        the Bruhat order; built on first use.
+
+        Byte rank * i + k of keys[w] is the coefficient of alpha_k in
+        omega_i - w^-1 omega_i.  For dominant lam, y <= x implies that
+        y^-1 lam - x^-1 lam lies in Q+, the nonnegative span of the simple
+        roots: the order is invariant under inversion, and a cover
+        u < u t_beta with u beta > 0 gives u lam - u t_beta lam =
+        <lam, beta^v> u beta.  So y <= x implies keys[x] >= keys[y] in every
+        byte, which is ((keys[x] | high) - keys[y]) & high == high, where
+        high sets the top bit of every byte, so no borrow crosses a byte.
+
+        The keys are built one length stratum at a time.  Let C(w) be the
+        rank x rank matrix of the coefficients above.  With s a right descent
+        of w and u = ws, only column s changes:
+        C(w)[i, s] = C(u)[i, s] + delta_is - sum_k C(u)[i, k] cartan[s][k].
+        """
+        rank, right = self.rank, self._perms
+        lengths = np.array(self.lengths, dtype=np.int16)
+        gen = (lengths[right] < lengths).argmax(0)  # the lowest right descent; 0 for e
+        parent = right[gen, np.arange(self.order)]
+        cartan_col = np.array(self.cartan, dtype=np.int16)[gen][:, :, None]
+        column = np.eye(rank, dtype=np.int16)[gen]
+        fields = np.zeros((self.order, rank, rank), dtype=np.int16)
+        bounds = np.bincount(lengths).cumsum().tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            c = fields[parent[lo:hi]]
+            step = column[lo:hi] - (c @ cartan_col[lo:hi])[:, :, 0]
+            fields[lo:hi] = c + step[:, :, None] * column[lo:hi, None]
+        return _pack_fields(fields), int.from_bytes(b"\x80" * rank * rank, "little")
 
     # -- basic group operations ----------------------------------------------
 

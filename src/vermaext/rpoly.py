@@ -43,16 +43,25 @@ class RTable:
     In t the recursion of r_poly only adds nonnegative values:
     R~_{x,y} = R~_{xs,ys} + t R~_{x,ys}.  It is l(w0) - l(y) steps deep and
     each step at most doubles R~(1), so every coefficient is at most
-    2^l(w0) < 2^B.  The memo is keyed by the int x * order + y and holds only
-    pairs y < x, since _rt stores a value only after its x == y and
-    bruhat_leq(y, x) tests; so a lookup reads the memo first, then tests
-    x == y, and only then bruhat_leq(y, x).  r_poly_random_ascents,
-    r_oracle_table and ParabolicRTable stay on LaurentPoly on purpose, as
-    independent routes.
+    2^l(w0) < 2^B.  The memo is keyed by the int x * order + y.
+
+    No Bruhat test is made.  The recursion gives 0 exactly off the order,
+    since R_{x,y} != 0 iff y <= x (Bjorner-Brenti, Ch. 5), so two necessary
+    conditions of y < x only prune it: l(y) < l(x), and the weight-dominance
+    test of CoxeterSystem.dominance_keys (y <= x implies that
+    y^-1 lam - x^-1 lam lies in Q+ for dominant lam).  A lookup reads the
+    memo first, then tests x == y (the value 1), then the two prunes (0 on
+    failure).  So the memo holds the pairs y < x the recursion reached, and
+    also zeros for the incomparable pairs that pass both prunes.
+    r_poly_random_ascents, r_oracle_table and ParabolicRTable stay on
+    LaurentPoly on purpose, as independent routes.
     """
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
+        # The tables _rt reads, bound here once: it runs once per memo entry.
+        self._order, self._lengths = system.order, system.lengths
+        self._right, self._first_ascent = system.right, system.first_ascent
         self._memo: dict[int, int] = {}
         self._values = PackedPolys(system.lengths[system.w0] + 1, _from_t)
         self._signs: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -70,19 +79,23 @@ class RTable:
 
     def _rt(self, x: int, y: int) -> int:
         """R~_{x,y} packed; the recursion of r_poly read in t = v - v^-1."""
-        sy = self.system
-        key = x * sy.order + y
+        key = x * self._order + y
         val = self._memo.get(key)
         if val is not None:
             return val
         if x == y:
             return 1
-        if not sy.bruhat_leq(y, x):
+        lengths = self._lengths
+        if lengths[x] <= lengths[y]:
             return 0
-        s = sy.first_ascent[y]  # y < x <= w0, so y has an ascent
-        xs, ys = sy.right[s][x], sy.right[s][y]
+        keys, high = self.system.dominance_keys
+        if ((keys[x] | high) - keys[y]) & high != high:
+            return 0
+        s = self._first_ascent[y]  # l(y) < l(x) <= l(w0), so y has an ascent
+        right = self._right[s]
+        xs, ys = right[x], right[y]
         val = self._rt(xs, ys)
-        if sy.lengths[xs] < sy.lengths[x]:
+        if lengths[xs] < lengths[x]:
             val += self._rt(x, ys) << self._values.bits
         self._memo[key] = val
         return val
@@ -91,7 +104,9 @@ class RTable:
         """Recompute r_{x,y} choosing a random ascent at every recursion node.
 
         Uses a private memo so the shared table is untouched; the result
-        must not depend on the choices.
+        must not depend on the choices.  Unlike r_poly it tests the Bruhat
+        order at every node, so it is an independent route that also checks
+        the prunes of r_poly.
         """
         sy = self.system
         memo: dict[tuple[int, int], LaurentPoly] = {}

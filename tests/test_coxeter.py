@@ -4,6 +4,7 @@ import pytest
 from vermaext.coxeter import (
     CapExceededError,
     UnsupportedTypeError,
+    _pack_fields,
     _pack_keys,
     build_system,
     expected_order,
@@ -235,6 +236,53 @@ class TestEnumeration:
                 _pack_keys(np.array(lam))
         with pytest.raises(ValueError):
             _pack_keys(np.zeros((1, 10), dtype=np.int64))
+
+
+def reference_dominance_fields(system, w):
+    """The rank x rank coefficients of alpha_k in omega_i - w^-1 omega_i, by
+    applying to each omega_i the letters of the canonical word of w^-1, the
+    last letter first.  With d = omega_i - mu, the reflection s takes mu to
+    mu - <mu, alpha_s^v> alpha_s, and <mu, alpha_s^v> is
+    delta_is - sum_k d[k] cartan[s][k]."""
+    rank, cartan = system.rank, system.cartan
+    rows = []
+    for i in range(rank):
+        d = [0] * rank
+        for s in reversed(system.canonical_words[system.inverse[w]]):
+            d[s] += (i == s) - sum(d[k] * cartan[s][k] for k in range(rank))
+        rows.append(d)
+    return rows
+
+
+class TestDominanceKeys:
+    @pytest.mark.parametrize("label", ["A3", "B3", "G2", "F4"])
+    def test_matches_reference(self, label):
+        sy = build_system(label)
+        keys, high = sy.dominance_keys
+        assert high == int.from_bytes(b"\x80" * sy.rank ** 2, "little")
+        for w in range(sy.order):
+            fields = [f for row in reference_dominance_fields(sy, w) for f in row]
+            assert keys[w] == int.from_bytes(bytes(fields), "little"), w
+
+    @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3",
+                                       "D4", "D5", "F4", "G2"])
+    def test_holds_on_every_comparable_pair(self, label):
+        sy = build_system(label)
+        keys, high = sy.dominance_keys
+        for x in range(sy.order):
+            kx = keys[x] | high
+            assert all((kx - keys[y]) & high == high for y in sy.bruhat_downset(x)), x
+
+    def test_packing_refuses_a_field_of_128(self):
+        assert _pack_fields(np.array([[127, 1, 0]])) == [127 + 256]
+        assert _pack_fields(np.zeros((2, 2, 2), dtype=np.int16)) == [0, 0]
+        with pytest.raises(ValueError):
+            _pack_fields(np.array([[0, 128]]))
+
+    def test_built_on_first_use(self):
+        sy = build_system("B3")
+        assert "dominance_keys" not in vars(sy)
+        assert sy.dominance_keys is sy.dominance_keys
 
 
 class TestBruhat:

@@ -129,6 +129,53 @@ class TestPackedBound:
             assert rt.r_poly_random_ascents(x, y, rng) == rt.r_poly(x, y)
 
 
+# r_{w0,e} on E6 over exponents -36..36 in steps of 2, computed by the
+# recursion when it still tested the Bruhat order at every node.
+E6_R_W0_E = [1, -6, 16, -26, 31, -31, 27, -24, 35, -64, 92, -95, 71, -46, 49, -79, 109, -121,
+             122, -121, 109, -79, 49, -46, 71, -95, 92, -64, 35, -24, 27, -31, 31, -26, 16,
+             -6, 1]
+
+
+class TestPrunes:
+    """r_poly reads no Bruhat order: it prunes by length and weight dominance
+    and relies on the recursion giving 0 exactly off the order."""
+
+    @pytest.mark.parametrize("label,replay", [("A3", True), ("B3", True), ("D4", True),
+                                              ("B4", False)])
+    def test_zero_exactly_off_the_order(self, label, replay):
+        # TestOracle also checks every pair of A3 and B3 against the oracle
+        sy = build_system(label)
+        rt = RTable(sy)
+        rng = random.Random(5)
+        for x in range(sy.order):
+            for y in range(sy.order):
+                p = rt.r_poly(x, y)
+                if not sy.bruhat_leq(y, x):
+                    assert not p, (x, y)
+                elif replay:
+                    assert p == rt.r_poly_random_ascents(x, y, rng), (x, y)
+                else:
+                    assert p, (x, y)
+
+    def test_e6_queries_build_no_bruhat_row(self):
+        sy = build_system("E6")
+        p = RTable(sy).r_poly(sy.w0, 0)
+        assert [p.coeff(k) for k in range(-36, 37, 2)] == E6_R_W0_E
+        rng = random.Random(17)
+        for _ in range(20):
+            x = y = rng.randrange(sy.order)
+            for _ in range(rng.randrange(4, 16)):
+                ascents = [s for s in range(sy.rank) if sy.lengths[sy.right[s][x]] > sy.lengths[x]]
+                if not ascents:
+                    break
+                x = sy.right[rng.choice(ascents)][x]
+            p = RTable(sy).r_poly(x, y)
+            d = sy.lengths[x] - sy.lengths[y]
+            assert p.eval_at_one() == (x == y)
+            assert p.coeff(d) == 1 and p.coeff(-d) == (-1) ** d
+        assert len(sy._rows) == 1  # only the row of e, made with the group
+
+
 class TestSigns:
     def test_a2_clean(self, a2, rt2):
         assert rt2.sign_compatibility(a2.w0, 0) == []
