@@ -234,19 +234,22 @@ def cmd_scan(args) -> str:
     partition = equiv_classes(sy)
     report = all_expected_predicate(sy, partition=partition)
     name = sy.word_name
-    violations = [(name(x), name(y), bad) for x, y, bad in report.sign_violations]
-    uncertified = [(name(x), name(y)) for x, y in report.uncertified]
-    lines = ["%s: %d comparable pairs" % (sy.type_label, len(partition.pairs))]
-    lines.append("all extensions expected: %s" % ("yes" if report.verdict else "no"))
-    lines.extend("sign violation (%s, %s) at %s" % row for row in violations)
-    lines.extend("no certificate for (%s, %s)" % row for row in uncertified)
-    return _records(args, {
-        "type": sy.type_label,
-        "pairs": len(partition.pairs),
-        "verdict": report.verdict,
-        "sign_violations": [{"x": x, "y": y, "exponents": bad} for x, y, bad in violations],
-        "uncertified": [{"x": x, "y": y} for x, y in uncertified],
-    }, lines)
+    if args.format == "json":
+        return json.dumps({
+            "type": sy.type_label,
+            "pairs": len(partition.pairs),
+            "verdict": report.verdict,
+            "sign_violations": [{"x": name(x), "y": name(y), "exponents": bad}
+                                for x, y, bad in report.sign_violations],
+            "uncertified": [{"x": name(x), "y": name(y)} for x, y in report.uncertified],
+        }, sort_keys=True)
+    return "\n".join([
+        "%s: %d comparable pairs" % (sy.type_label, len(partition.pairs)),
+        "all extensions expected: %s" % ("yes" if report.verdict else "no"),
+        *("sign violation (%s, %s) at %s" % (name(x), name(y), bad)
+          for x, y, bad in report.sign_violations),
+        *("no certificate for (%s, %s)" % (name(x), name(y)) for x, y in report.uncertified),
+    ])
 
 
 def cmd_predict(args) -> str:

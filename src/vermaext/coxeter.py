@@ -434,19 +434,10 @@ class ParabolicSubset:
         if not self.J <= set(range(system.rank)):
             raise ValueError("J must be a subset of the generator indices")
 
-        members = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for j in self.J:
-                    u = system.right[j][w]
-                    if u not in members:
-                        members.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        self.subgroup = tuple(sorted(members, key=lambda w: (system.lengths[w], w)))
-        self.longest = max(self.subgroup, key=lambda w: system.lengths[w])
+        # w lies in W_J iff its reduced words use only generators in J, and
+        # index order is (length, index) order
+        self.subgroup = tuple(w for w in range(system.order) if system.support(w) <= self.J)
+        self.longest = self.subgroup[-1]
 
         self.coset_reps_right = tuple(
             w for w in range(system.order) if not (system.right_descents(w) & self.J)

@@ -210,8 +210,9 @@ TYPE_A3_THEOREM = "TypeA3Theorem"
 
 @dataclass(frozen=True)
 class Certificate:
+    """The clause of r_determined that certifies a pair: ``kind``, the only field."""
+
     kind: str
-    detail: str = ""
 
 
 def trivial_kl_certificate(kl: KLTable, y: int) -> bool:
@@ -236,18 +237,17 @@ def r_determined(
     system: CoxeterSystem,
     x: int,
     y: int,
-    kl: KLTable | None = None,
     *,
+    kl: KLTable,
     partition,
 ) -> Certificate | None:
-    """Strongest available certificate that every graded extension of the
-    pair is the expected-edge dimension given by the R-coefficients.
-
-    Clauses, strongest first: rank at most 2; length gap at most 3; trivial
-    KL data above y (when ``kl`` is given); a boolean or coboolean member in
-    the pair's class of ``partition``, the system's descent equivalence
-    partition; the proven type A3 statement.  Returns None when nothing
-    applies.
+    """Certificate that every graded extension of the pair is the
+    expected-edge dimension given by the R-coefficients; None when no clause
+    applies.  Every clause is tried on every call, so both ``kl`` and
+    ``partition`` (the descent equivalence partition) are required.  The
+    clauses that hold for a whole descent class come first: rank at most 2;
+    length gap at most 3; a boolean or coboolean member in the pair's class;
+    the proven type A3 statement.  Trivial KL data above y comes last.
     """
     if not system.bruhat_leq(y, x):
         raise ValueError("r_determined needs x >= y")
@@ -255,15 +255,12 @@ def r_determined(
         return Certificate(RANK2)
     if system.lengths[x] - system.lengths[y] <= 3:
         return Certificate(SMALL_LENGTH_GAP)
-    if kl is not None and trivial_kl_certificate(kl, y):
-        return Certificate(TRIVIAL_KL, detail="y=%s" % system.word_name(y))
-    hit = partition.boolean_member(x, y)
-    if hit is not None:
-        clause, wx, wy = hit
-        return Certificate(BOOLEAN, detail="clause %s via (%s, %s)"
-                           % (clause, system.word_name(wx), system.word_name(wy)))
+    if partition.boolean_member(x, y) is not None:
+        return Certificate(BOOLEAN)
     if system.type_label == "A3":
         return Certificate(TYPE_A3_THEOREM)
+    if trivial_kl_certificate(kl, y):
+        return Certificate(TRIVIAL_KL)
     return None
 
 
@@ -317,17 +314,19 @@ def all_expected_predicate(
 
     Work is done once per descent class: a move shortening both coordinates
     on one side keeps r_{x,y} (Bjorner-Brenti, Combinatorics of Coxeter
-    Groups, Ch. 5) and the length gap, so the sign rule and every clause of
-    r_determined but trivial KL, which needs y, are read off least pairs.
-    The Boolean/coboolean clause applies on every scan; a partition passed
-    in only saves building one.
+    Groups, Ch. 5) and the length gap, so the sign rule and r_determined
+    are read off least pairs.  A class counts as certified when its least
+    pair's certificate is a class-level one; trivial KL depends on y, so
+    the other classes try it pair by pair.  A partition passed in only
+    saves building one.
     """
     rt = rt or RTable(system)
     kl = kl or KLTable(system)
     part = partition if partition is not None else EquivPartition(system)
     least = [members[0] for members in part.classes]
     signs = [rt.sign_compatibility(x, y) for x, y in least]
-    certified = [r_determined(system, x, y, partition=part) is not None for x, y in least]
+    certs = [r_determined(system, x, y, kl=kl, partition=part) for x, y in least]
+    certified = [cert is not None and cert.kind != TRIVIAL_KL for cert in certs]
     violations, uncertified = [], []
     for (x, y), cid in zip(part.pairs, part.cids):
         if signs[cid]:

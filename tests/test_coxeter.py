@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -421,6 +423,21 @@ class TestParabolic:
         for J in ([0], [0, 2], [1, 2]):
             par = b3.parabolic(J)
             assert len(par.coset_reps_right) * len(par.subgroup) == b3.order
+
+    @pytest.mark.parametrize("label", ["A3", "B3", "D4", "F4"])
+    def test_subgroup_is_closure_of_identity(self, label):
+        # oracle: close {e} under right multiplication by the generators in J
+        sy = build_system(label)
+        for r in range(sy.rank + 1):
+            for J in itertools.combinations(range(sy.rank), r):
+                members, frontier = {0}, [0]
+                while frontier:
+                    frontier = {sy.right[j][w] for w in frontier for j in J} - members
+                    members.update(frontier)
+                closure = sorted(members, key=lambda w: (sy.lengths[w], w))
+                par = sy.parabolic(J)
+                assert par.subgroup == tuple(closure)
+                assert par.longest == max(closure, key=lambda w: sy.lengths[w])
 
 
 class TestParsing:

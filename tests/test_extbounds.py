@@ -6,7 +6,9 @@ from vermaext.extbounds import (
     BOOLEAN,
     RANK2,
     SMALL_LENGTH_GAP,
+    TRIVIAL_KL,
     TYPE_A3_THEOREM,
+    Certificate,
     all_expected_predicate,
     expected_dims,
     hom_grid,
@@ -230,13 +232,13 @@ class TestExpectedDims:
 class TestCertificates:
     def test_rank2(self):
         a2 = build_system("A2")
-        part = equiv_classes(a2)
+        kl, part = KLTable(a2), equiv_classes(a2)
         for x, y in a2.comparable_pairs():
-            assert r_determined(a2, x, y, partition=part).kind == RANK2
+            assert r_determined(a2, x, y, kl=kl, partition=part).kind == RANK2
 
     def test_small_gap(self, a3, kl3):
         x = a3.element("r*s*t")
-        assert r_determined(a3, x, 0, partition=equiv_classes(a3)).kind == SMALL_LENGTH_GAP
+        assert r_determined(a3, x, 0, kl=kl3, partition=equiv_classes(a3)).kind == SMALL_LENGTH_GAP
 
     def test_trivial_kl_clause(self):
         b3 = build_system("B3")
@@ -277,9 +279,9 @@ class TestCertificates:
         part = equiv_classes(d4)
         assert r_determined(d4, d4.w0, 0, kl=kl, partition=part) is None
 
-    def test_requires_comparable(self, a3):
+    def test_requires_comparable(self, a3, kl3):
         with pytest.raises(ValueError):
-            r_determined(a3, 0, a3.w0, partition=equiv_classes(a3))
+            r_determined(a3, 0, a3.w0, kl=kl3, partition=equiv_classes(a3))
 
     def test_requires_partition(self):
         # without a partition the Boolean clause could not be tried, so the
@@ -288,6 +290,26 @@ class TestCertificates:
         w = d4.element("s1*s2*s3*s4")
         with pytest.raises(TypeError):
             r_determined(d4, w, 0, kl=KLTable(d4))
+
+    def test_requires_kl(self):
+        # without KL data the trivial-KL clause could not be tried, so the
+        # call is refused rather than answered with a weaker certificate
+        d4 = build_system("D4")
+        w = d4.element("s1*s2*s3*s4")
+        with pytest.raises(TypeError):
+            r_determined(d4, w, 0, partition=equiv_classes(d4))
+
+    @pytest.mark.parametrize("label", ["A3", "B3", "D4"])
+    def test_class_level_clauses_come_first(self, label):
+        # trivial KL is the last clause: it is named only where no
+        # class-level clause (Boolean member, type A3) holds
+        sy = build_system(label)
+        kl, part = KLTable(sy), equiv_classes(sy)
+        for x, y in sy.comparable_pairs():
+            cert = r_determined(sy, x, y, kl=kl, partition=part)
+            if cert is not None and cert.kind == TRIVIAL_KL:
+                assert part.boolean_member(x, y) is None
+                assert sy.type_label != "A3"
 
 
 class TestAllExpected:
@@ -316,9 +338,14 @@ class TestAllExpected:
     def test_trivial_kl_checked_once_per_pair(self, monkeypatch):
         # the memo sits inside trivial_kl_certificate, so the predicate still
         # calls it once for every pair whose class has no class-level
-        # certificate (rank 2, small gap, Boolean, type A3); no partition is
+        # certificate (rank 2, small gap, Boolean, type A3), and once more
+        # for the class's least pair inside r_determined; no partition is
         # passed here, and the Boolean clause applies all the same
         b3 = build_system("B3")
+        part, kl = equiv_classes(b3), KLTable(b3)
+        bare = [members for members in part.classes
+                if r_determined(b3, *members[0], kl=kl, partition=part)
+                in (None, Certificate(TRIVIAL_KL))]
         calls = []
         original = extbounds.trivial_kl_certificate
         monkeypatch.setattr(
@@ -326,10 +353,8 @@ class TestAllExpected:
             lambda kl, y: calls.append(y) or original(kl, y),
         )
         all_expected_predicate(b3, kl=KLTable(b3), rt=RTable(b3))
-        part = equiv_classes(b3)
-        bare = [members for members in part.classes
-                if r_determined(b3, *members[0], partition=part) is None]
-        assert 0 < len(calls) == sum(len(members) for members in bare)
+        assert sum(map(len, bare)) == 287 and len(bare) == 46
+        assert len(calls) == sum(map(len, bare)) + len(bare)
 
     @pytest.mark.parametrize("label", ["A3", "B3", "D4", "B4"])
     @pytest.mark.parametrize("with_partition", [False, True])
