@@ -237,14 +237,14 @@ def cmd_scan(args) -> str:
     if args.format == "json":
         return json.dumps({
             "type": sy.type_label,
-            "pairs": len(partition.pairs),
+            "pairs": len(partition.keys),
             "verdict": report.verdict,
             "sign_violations": [{"x": name(x), "y": name(y), "exponents": bad}
                                 for x, y, bad in report.sign_violations],
             "uncertified": [{"x": name(x), "y": name(y)} for x, y in report.uncertified],
         }, sort_keys=True)
     return "\n".join([
-        "%s: %d comparable pairs" % (sy.type_label, len(partition.pairs)),
+        "%s: %d comparable pairs" % (sy.type_label, len(partition.keys)),
         "all extensions expected: %s" % ("yes" if report.verdict else "no"),
         *("sign violation (%s, %s) at %s" % (name(x), name(y), bad)
           for x, y, bad in report.sign_violations),
@@ -284,8 +284,8 @@ def cmd_classes(args) -> str:
                              % (sy.word_name(x), sy.word_name(y)))
         rows = [[sy.word_name(a), sy.word_name(b)] for a, b in part.class_of(x, y)]
         return _records(args, rows, ["(%s, %s)" % (a, b) for a, b in rows])
-    info = {"type": sy.type_label, "pairs": len(part.pairs),
-            "classes": len(part.classes), "sizes": part.class_sizes()}
+    info = {"type": sy.type_label, "pairs": len(part.keys),
+            "classes": len(part.least), "sizes": part.class_sizes()}
     return _records(args, info, _info_lines(info))
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .coxeter import CoxeterSystem
 from .hecke import KLTable
 from .intervals import EquivPartition
@@ -255,7 +257,7 @@ def r_determined(
         return Certificate(RANK2)
     if system.lengths[x] - system.lengths[y] <= 3:
         return Certificate(SMALL_LENGTH_GAP)
-    if partition.boolean_member(x, y) is not None:
+    if partition.boolean_member(x, y):
         return Certificate(BOOLEAN)
     if system.type_label == "A3":
         return Certificate(TYPE_A3_THEOREM)
@@ -315,22 +317,26 @@ def all_expected_predicate(
     Work is done once per descent class: a move shortening both coordinates
     on one side keeps r_{x,y} (Bjorner-Brenti, Combinatorics of Coxeter
     Groups, Ch. 5) and the length gap, so the sign rule and r_determined
-    are read off least pairs.  A class counts as certified when its least
-    pair's certificate is a class-level one; trivial KL depends on y, so
-    the other classes try it pair by pair.  A partition passed in only
-    saves building one.
+    are read off least pairs and gathered to pairs by class id.  A class
+    counts as certified when its least pair's certificate is a class-level
+    one; trivial KL depends on y alone, so it is asked once per y of the
+    other classes.  A partition passed in only saves building one.
     """
     rt = rt or RTable(system)
     kl = kl or KLTable(system)
     part = partition if partition is not None else EquivPartition(system)
-    least = [members[0] for members in part.classes]
+    least = part.pairs_at(part.least)
     signs = [rt.sign_compatibility(x, y) for x, y in least]
     certs = [r_determined(system, x, y, kl=kl, partition=part) for x, y in least]
-    certified = [cert is not None and cert.kind != TRIVIAL_KL for cert in certs]
-    violations, uncertified = [], []
-    for (x, y), cid in zip(part.pairs, part.cids):
-        if signs[cid]:
-            violations.append((x, y, list(signs[cid])))
-        if not certified[cid] and not trivial_kl_certificate(kl, y):
-            uncertified.append((x, y))
-    return AllExpectedReport(system, violations, uncertified)
+    certified = np.array([cert is not None and cert.kind != TRIVIAL_KL for cert in certs])
+    bad = np.flatnonzero(np.array([bool(s) for s in signs])[part.cids])
+    violations = [(x, y, list(signs[cid]))
+                  for (x, y), cid in zip(part.pairs_at(bad), part.cids[bad].tolist())]
+    # The pairs of uncertified classes, and trivial KL once per y among them
+    bare = np.flatnonzero(~certified[part.cids])
+    ys = part.keys[bare] % system.order
+    trivial = np.zeros(system.order, bool)
+    trivial[ys] = True
+    asked = np.flatnonzero(trivial)
+    trivial[asked] = [trivial_kl_certificate(kl, y) for y in asked.tolist()]
+    return AllExpectedReport(system, violations, part.pairs_at(bare[~trivial[ys]]))

@@ -4,72 +4,96 @@ Two comparable pairs are linked when one simple reflection shortens both
 coordinates on the same side.  Such a move keeps r_{x,y} (Bjorner-Brenti,
 Combinatorics of Coxeter Groups, Ch. 5; class_r_constancy checks it) and
 l(x) - l(y), so the sign rule, the small-gap clause and boolean membership
-in the class are class invariants.  Equivalent pairs need not have
-isomorphic Bruhat intervals, which poset_isomorphic decides by brute force.
+in the class are class invariants.  The classes are the connected
+components of these moves, found on int arrays of pair keys.  Equivalent
+pairs need not have isomorphic Bruhat intervals, which poset_isomorphic
+decides by brute force.
 """
 
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left
+
+import numpy as np
 
 from .coxeter import CoxeterSystem
 from .rpoly import RTable
 
 
 class EquivPartition:
-    """Union-find closure of the simultaneous-descent moves on pairs x >= y.
+    """Components of the simultaneous-descent moves on pairs x >= y.
 
-    One flat union-find over the indices of comparable_pairs(), found by the
-    int key x * order + y, halving paths inline.  The smaller root wins each
-    union, so a root is its class's least pair: class ids follow least pairs
-    and members are in pair order.  cids[i] is the class id of pairs[i].
+    keys holds every comparable pair as x * order + y, sorted, read off the
+    Bruhat rows; position i in keys is pair i.  Each simultaneous descent
+    sends a pair to one of smaller key, found by searchsorted.  The
+    components come from hooking each tree's root to the least root it
+    meets along an edge, then pointer jumping, so the root of a component
+    is its least pair.  cids[i] is the class id of pair i, the rank of its
+    class's least pair, and least[c] is the position of class c's least
+    pair.  pairs and classes are tuple views built on first use; members
+    are in pair order.
     """
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
-        self.pairs = pairs = system.comparable_pairs()
-        order, lengths = system.order, system.lengths
-        index = {x * order + y: i for i, (x, y) in enumerate(pairs)}
-        parent = list(range(len(pairs)))
-        # Right then left tables as one list of moves; bit m of descents[w]
-        # is set iff move m shortens w, and common[mask] lists mask's moves.
-        moves = system.right + system.left
-        descents = [sum(1 << m for m, move in enumerate(moves) if lengths[move[w]] < lengths[w])
-                    for w in range(order)]
-        common = [[move for m, move in enumerate(moves) if mask >> m & 1]
-                  for mask in range(1 << len(moves))]
-        for i, (x, y) in enumerate(pairs):
-            for move in common[descents[x] & descents[y]]:
-                a, b = i, index[move[x] * order + move[y]]
-                while parent[a] != a:
-                    parent[a] = a = parent[parent[a]]
-                while parent[b] != b:
-                    parent[b] = b = parent[parent[b]]
-                if a < b:
-                    a, b = b, a
-                parent[a] = b
+        order = system.order
+        rows = np.frombuffer(b"".join(map(system._downset_row, range(order))), np.uint8)
+        bits = np.unpackbits(rows.reshape(order, -1), axis=1, count=order, bitorder="little")
+        self.keys = keys = np.flatnonzero(bits)
+        x, y = np.divmod(keys, order)
+        lengths = np.array(system.lengths)
+        parent = np.arange(len(keys))
+        src, dst = [], []
+        for move in (*system._perms, *np.array(system.left)):
+            shorter = lengths[move] < lengths
+            i = np.flatnonzero(shorter[x] & shorter[y])
+            j = np.searchsorted(keys, move[x[i]] * order + move[y[i]])
+            # i holds each pair once, so one move's edges need no .at
+            parent[i] = np.minimum(parent[i], j)
+            src.append(i)
+            dst.append(j)
+        src, dst = np.concatenate(src), np.concatenate(dst)
+        while True:
+            # parent[i] <= i everywhere, so jumping ends at the roots
+            while not np.array_equal(up := parent[parent], parent):
+                parent = up
+            a, b = parent[src], parent[dst]
+            split = a != b
+            if not split.any():
+                break
+            src, dst, a, b = src[split], dst[split], a[split], b[split]
+            np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        self.least = np.flatnonzero(parent == np.arange(len(keys)))
+        cid_of_root = np.zeros(len(keys), np.intp)
+        cid_of_root[self.least] = np.arange(len(self.least))
+        self.cids = cid_of_root[parent]
 
-        # parent[i] <= i throughout, so in index order parent[parent[i]] is
-        # already the root of i, and each root opens the next class.
-        cids: list[int] = []
-        self.classes: list[list[tuple[int, int]]] = []
-        for i, p in enumerate(pairs):
-            r = parent[i] = parent[parent[i]]
-            if r == i:
-                self.classes.append([])
-            cids.append(len(self.classes) - 1 if r == i else cids[r])
-            self.classes[cids[i]].append(p)
-        self.cids = cids
-        # boolean_member's answer per class id, filled on first request.
-        self._boolean_hit: dict[int, tuple[str, int, int] | None] = {}
+    def pairs_at(self, index) -> list[tuple[int, int]]:
+        """The pairs at the given positions, as (x, y) tuples that share one
+        int per element: tolist() on an int array makes one per entry."""
+        elements = np.arange(self.system.order).astype(object)
+        x, y = np.divmod(self.keys[index], self.system.order)
+        return list(zip(elements[x].tolist(), elements[y].tolist()))
+
+    @functools.cached_property
+    def pairs(self) -> list[tuple[int, int]]:
+        return self.pairs_at(slice(None))
+
+    @functools.cached_property
+    def classes(self) -> list[list[tuple[int, int]]]:
+        members = list(map(self.pairs.__getitem__, np.argsort(self.cids, kind="stable").tolist()))
+        bounds = [0, *np.cumsum(np.bincount(self.cids)).tolist()]
+        return [members[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def _cid(self, x: int, y: int) -> int:
-        """Class id of the pair, found by bisection; KeyError unless x >= y."""
-        i = bisect_left(self.pairs, (x, y))
-        if self.pairs[i:i + 1] != [(x, y)]:
+        """Class id of the pair; KeyError unless 0 <= y <= x < order."""
+        order = self.system.order
+        if not (0 <= x < order and 0 <= y < order):
             raise KeyError((x, y))
-        return self.cids[i]
+        i = int(np.searchsorted(self.keys, x * order + y))
+        if i == len(self.keys) or self.keys[i] != x * order + y:
+            raise KeyError((x, y))
+        return int(self.cids[i])
 
     def class_of(self, x: int, y: int) -> list[tuple[int, int]]:
         return self.classes[self._cid(x, y)]
@@ -78,33 +102,23 @@ class EquivPartition:
         return self._cid(*pair1) == self._cid(*pair2)
 
     def class_sizes(self) -> list[int]:
-        return sorted(len(c) for c in self.classes)
+        return sorted(np.bincount(self.cids).tolist())
 
-    def boolean_member(self, x: int, y: int):
-        """Search the class of (x, y) for a coordinate that settles the pair.
-
-        Returns ("x-boolean", x', y') when some member has boolean x', or
-        ("w0y-boolean", x', y') when some member has boolean w0*y'; None if
-        neither occurs anywhere in the class.  The answer is a class
-        invariant, so each class is searched once and the first witness in
-        member order is kept.
-        """
-        cid = self._cid(x, y)
-        if cid not in self._boolean_hit:
-            self._boolean_hit[cid] = self._first_boolean(self.classes[cid])
-        return self._boolean_hit[cid]
+    def boolean_member(self, x: int, y: int) -> bool:
+        """Whether some member (x', y') of the class of (x, y) has x' boolean
+        or w0*y' boolean.  The answer is a class invariant, read off one
+        flag per class built on the first call."""
+        return bool(self._boolean_classes[self._cid(x, y)])
 
     @functools.cached_property
-    def _boolean_flags(self) -> tuple[list[bool], list[bool]]:
-        """Per element w: whether w is boolean, and whether w0*w is."""
+    def _boolean_classes(self):
         sy = self.system
-        return ([sy.is_boolean(w) for w in range(sy.order)],
-                [sy.is_boolean(sy.mult(sy.w0, w)) for w in range(sy.order)])
-
-    def _first_boolean(self, members):
-        boolean, coboolean = self._boolean_flags
-        hit = next((("x-boolean", wx, wy) for wx, wy in members if boolean[wx]), None)
-        return hit or next((("w0y-boolean", wx, wy) for wx, wy in members if coboolean[wy]), None)
+        boolean = np.array([sy.is_boolean(w) for w in range(sy.order)])
+        coboolean = np.array([sy.is_boolean(sy.mult(sy.w0, w)) for w in range(sy.order)])
+        x, y = np.divmod(self.keys, sy.order)
+        hit = np.zeros(len(self.least), bool)
+        hit[self.cids[boolean[x] | coboolean[y]]] = True
+        return hit
 
 
 def equiv_classes(system: CoxeterSystem) -> EquivPartition:

@@ -308,7 +308,7 @@ class TestCertificates:
         for x, y in sy.comparable_pairs():
             cert = r_determined(sy, x, y, kl=kl, partition=part)
             if cert is not None and cert.kind == TRIVIAL_KL:
-                assert part.boolean_member(x, y) is None
+                assert not part.boolean_member(x, y)
                 assert sy.type_label != "A3"
 
 
@@ -335,11 +335,11 @@ class TestAllExpected:
         all_expected_predicate(d4, kl=KLTable(d4), rt=RTable(d4), partition=part)
         assert 0 < len(counted) <= 2 * len(part.pairs)
 
-    def test_trivial_kl_checked_once_per_pair(self, monkeypatch):
-        # the memo sits inside trivial_kl_certificate, so the predicate still
-        # calls it once for every pair whose class has no class-level
-        # certificate (rank 2, small gap, Boolean, type A3), and once more
-        # for the class's least pair inside r_determined; no partition is
+    def test_trivial_kl_asked_once_per_least_pair_and_y(self, monkeypatch):
+        # inside r_determined the predicate asks trivial_kl_certificate once
+        # for the least pair of every class with no class-level certificate
+        # (rank 2, small gap, Boolean, type A3); on those classes it asks
+        # once more for each distinct y among their pairs.  No partition is
         # passed here, and the Boolean clause applies all the same
         b3 = build_system("B3")
         part, kl = equiv_classes(b3), KLTable(b3)
@@ -353,8 +353,9 @@ class TestAllExpected:
             lambda kl, y: calls.append(y) or original(kl, y),
         )
         all_expected_predicate(b3, kl=KLTable(b3), rt=RTable(b3))
-        assert sum(map(len, bare)) == 287 and len(bare) == 46
-        assert len(calls) == sum(map(len, bare)) + len(bare)
+        ys = {y for members in bare for _, y in members}
+        assert len(bare) == 46 and len(ys) == 32
+        assert len(calls) == len(bare) + len(ys) == 78
 
     @pytest.mark.parametrize("label", ["A3", "B3", "D4", "B4"])
     @pytest.mark.parametrize("with_partition", [False, True])

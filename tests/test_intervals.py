@@ -64,6 +64,13 @@ class TestPartition:
             part3.same_class((0, 0), (0, a3.w0))
         with pytest.raises(KeyError):
             part3.boolean_member(a3.order, 0)
+        # as a key x * order + y, (1, order) would alias the pair (2, e)
+        with pytest.raises(KeyError):
+            part3.class_of(1, a3.order)
+        with pytest.raises(KeyError):
+            part3.boolean_member(1, a3.order)
+        with pytest.raises(KeyError):
+            part3.class_of(2, -a3.order)
 
 
 def _bfs_classes(system):
@@ -95,7 +102,7 @@ def _bfs_classes(system):
     return classes, {p: cid for cid, c in enumerate(classes) for p in c}
 
 
-@pytest.mark.parametrize("label", ["A3", "B3", "D4", "B4"])
+@pytest.mark.parametrize("label", ["A1", "A2", "G2", "A3", "B3", "D4", "B4"])
 def test_partition_matches_bfs_closure(label):
     system = build_system(label)
     part = equiv_classes(system)
@@ -121,37 +128,32 @@ class TestRConstancy:
 
 class TestBooleanCertificate:
     def test_paper_pair(self, a3, part3):
-        cert = part3.boolean_member(a3.element("r*t*s"), 0)
-        assert cert is not None
-        clause, wx, wy = cert
-        assert clause == "x-boolean"
-        assert a3.is_boolean(wx)
+        rts = a3.element("r*t*s")
+        assert a3.is_boolean(rts)
+        assert part3.boolean_member(rts, 0) is True
+        assert _scan_class(a3, part3.class_of(rts, 0)) is not None
 
     def test_near_longest(self, a3, part3):
         w0s = a3.right[1][a3.w0]
-        cert = part3.boolean_member(a3.w0, w0s)
-        assert cert is not None
-        clause, wx, wy = cert
-        if clause == "x-boolean":
-            assert a3.is_boolean(wx)
-        else:
-            assert a3.is_boolean(a3.mult(a3.w0, wy))
+        assert part3.boolean_member(a3.w0, w0s) is True
+        assert _scan_class(a3, part3.class_of(a3.w0, w0s)) is not None
 
     def test_d4_top_pair_unknown(self):
         d4 = build_system("D4")
         part = equiv_classes(d4)
-        assert part.boolean_member(d4.w0, 0) is None
+        assert part.boolean_member(d4.w0, 0) is False
 
     def test_sound_against_signs(self, a3, part3):
         # every boolean-certified pair also passes the sign screen
         rt = RTable(a3)
         for x, y in part3.pairs:
-            if part3.boolean_member(x, y) is not None:
+            if part3.boolean_member(x, y):
                 assert rt.sign_compatibility(x, y) == []
 
 
 def _scan_class(system, members):
-    """The class search without the memo: x-boolean first, then w0y-boolean."""
+    """A direct search of the class for a witness: x-boolean first, then
+    w0y-boolean."""
     for wx, wy in members:
         if system.is_boolean(wx):
             return ("x-boolean", wx, wy)
@@ -167,9 +169,9 @@ class TestBooleanMemo:
         sy = build_system(label)
         part = equiv_classes(sy)
         for x, y in part.pairs:
-            want = _scan_class(sy, part.class_of(x, y))
-            assert part.boolean_member(x, y) == want
-            assert part.boolean_member(x, y) == want  # second call reads the memo
+            want = _scan_class(sy, part.class_of(x, y)) is not None
+            assert part.boolean_member(x, y) is want
+            assert part.boolean_member(x, y) is want  # second call reads the flags
 
     def test_nothing_searched_at_construction(self, monkeypatch):
         counted = []
