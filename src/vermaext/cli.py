@@ -9,10 +9,12 @@ timestamps.
 
 Every command runs the same way: its handler builds the group and the KL or
 R table it needs, computes and returns the output text, and run() alone
-writes it, so a command that fails writes nothing.  rpoly --expected needs
+writes it, so a command that fails writes nothing.  The argument parser is
+built once per process, by the first run(), and never mutated afterwards, so
+repeated in-process calls pay only for parsing.  rpoly --expected needs
 --table.  --cache-dir is accepted for existing command lines and has no
 effect.  Exit codes: 0 success, 1 verification failure, 2 usage errors (an
-unusable --output path among them).
+unusable --output path among them) and a command that runs out of memory.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import io
 import json
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
 from . import refdata
 from .coxeter import CoxeterSystem, build_system, canonical_label, DEFAULT_CAP
@@ -310,7 +312,9 @@ def _add_common(p, *, needs_type=True):
     p.add_argument("--cache-dir", help=argparse.SUPPRESS)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser shared by every run() in the process; callers only read it."""
     parser = argparse.ArgumentParser(
         prog="vermaext",
         description="Exact Kazhdan-Lusztig / R-polynomial combinatorics for "
@@ -393,7 +397,8 @@ def run(argv=None) -> int:
     """Parse argv, run the handler and write its text to stdout or --output.
 
     Nothing is written when the handler fails.  Exit code 0 success, 1 a
-    failed verification, 2 an error, reported on stderr.
+    failed verification, 2 an error, running out of memory included,
+    reported on stderr.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -410,8 +415,9 @@ def run(argv=None) -> int:
             sys.stdout.write(text)
     except BrokenPipeError:
         raise  # main() handles a reader that has gone away
-    except (OSError, ValueError, KeyError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except (OSError, ValueError, KeyError, MemoryError) as exc:
+        # a bare MemoryError carries no message
+        print("error: %s" % (str(exc) or "out of memory"), file=sys.stderr)
         return 2
     return 0 if passed else 1
 

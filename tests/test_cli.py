@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import vermaext
-from vermaext.cli import emit_table, run
+from vermaext.cli import build_parser, emit_table, run
 from vermaext.coxeter import build_system
 from vermaext.poly import LaurentPoly
 from vermaext.refdata import A2_ORDER, A2_R_TABLE, E7_R_W0_E
@@ -16,6 +16,12 @@ def capture(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def cli_env(**extra):
+    """The environment of a fresh `python -m vermaext.cli` process."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vermaext.__file__)),
+                **extra)
 
 
 class TestBasicCommands:
@@ -283,6 +289,47 @@ class TestDeterminismAndCache:
         capsys.readouterr()
         assert capture(capsys, argv) == (0, written)
 
+    def test_shared_parser_prints_what_a_fresh_process_prints(self, capsys, tmp_path,
+                                                              monkeypatch):
+        # one parser serves every run() of a process; each call of a mixed
+        # batch, usage errors included, must behave as the first call of a
+        # fresh process does, and the batch must leave the parser as it was
+        parser = build_parser()
+        assert build_parser() is parser
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the width
+        help_text = parser.format_help()
+        path = tmp_path / "out.json"
+        batch = [
+            ["kl", "--type", "A3", "--nontrivial-from", "e"],
+            ["rpoly", "--type", "A2", "--format", "json", "--output", str(path)],
+            ["verify"],  # neither --suite nor --all
+            ["rpoly", "--from", "w0", "--to", "e"],  # no --type
+            ["prpoly", "--type", "A2", "--J", "s1", "--table"],
+            ["srpoly", "--type", "A2", "--J", "s1", "--table"],
+        ]
+        fresh = []
+        for argv in batch:
+            proc = subprocess.run(
+                [sys.executable, "-m", "vermaext.cli", *argv], capture_output=True,
+                text=True, env=cli_env(COLUMNS="80"), timeout=60,
+            )
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        fresh_file = path.read_text()
+        path.unlink()
+        assert [code for code, _, _ in fresh] == [0, 0, 2, 2, 0, 0]
+
+        shared = []
+        for argv in batch:
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+            shared.append((code, *capsys.readouterr()))
+        assert shared == fresh
+        assert path.read_text() == fresh_file
+        assert build_parser() is parser
+        assert parser.format_help() == help_text
+
 
 class TestVerifyCommand:
     def test_single_suite(self, capsys):
@@ -317,10 +364,9 @@ class TestVerifyCommand:
 
     def test_closed_pipe_no_traceback(self):
         # the reader closes its end before anything is written
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vermaext.__file__)))
         proc = subprocess.Popen(
             [sys.executable, "-m", "vermaext.cli", "scan", "--type", "A3"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
         )
         proc.stdout.close()
         err = proc.stderr.read().decode()
@@ -334,4 +380,20 @@ class TestVerifyCommand:
         for extra in ([], ["--output", str(out_file)]):
             assert run(argv + extra) == 2
             assert capsys.readouterr().out == ""  # a failed command writes nothing
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError(), "out of memory"),
+        (MemoryError("Unable to allocate 643. MiB"), "Unable to allocate 643. MiB"),
+    ])
+    def test_out_of_memory_exit_2(self, capsys, tmp_path, monkeypatch, exc, message):
+        # numpy's allocation failures subclass MemoryError
+        def exhausted(system):
+            raise exc
+
+        monkeypatch.setattr("vermaext.cli.equiv_classes", exhausted)
+        out_file = tmp_path / "F"
+        for extra in ([], ["--output", str(out_file)]):
+            assert run(["scan", "--type", "A2"] + extra) == 2
+            assert capsys.readouterr() == ("", "error: %s\n" % message)
         assert not out_file.exists()
