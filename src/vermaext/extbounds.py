@@ -110,16 +110,15 @@ def kl_bound_poly(kl: KLTable, x_target: int, y_source: int) -> BiPoly:
     sy = kl.system
     w0 = sy.w0
     yw0 = sy.mult(y_source, w0)
-    out = BiPoly()
+    terms = []
     for z in range(sy.order):
         pv = kl.kl_poly(x_target, z)
         if not pv:
             continue
         pu = kl.kl_poly(yw0, sy.mult(z, w0))
-        if not pu:
-            continue
-        out = out + BiPoly.from_uv_product(pu, pv)
-    return out
+        if pu:
+            terms += [((a, b), ca * cb) for a, ca in pu.items() for b, cb in pv.items()]
+    return BiPoly(terms)
 
 
 def hom_grid(kl: KLTable, target: int, source: int) -> ExtGrid:

@@ -11,62 +11,59 @@ projectives, which is what all the dimension bounds downstream consume.
 from __future__ import annotations
 
 from .coxeter import CoxeterSystem
-from .poly import ONE, LaurentPoly, PackedPolys
+from .poly import ONE, LaurentPoly, PackedPolys, Terms
 
 
-class HeckeElement:
-    """A finite Z[v,v^-1]-combination of standard basis elements h_w."""
+class HeckeElement(Terms):
+    """A finite Z[v,v^-1]-combination of standard basis elements h_w, as
+    {w: LaurentPoly} in one Hecke algebra."""
 
-    __slots__ = ("system", "coeffs")
+    __slots__ = ("system",)
 
     def __init__(self, system: CoxeterSystem, coeffs=None):
+        super().__init__(coeffs)
         self.system = system
-        self.coeffs = {}
-        if coeffs:
-            for w, p in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                if p:
-                    self.coeffs[w] = p
 
     @classmethod
     def standard(cls, system: CoxeterSystem, w: int) -> "HeckeElement":
         return cls(system, {w: ONE})
 
+    @property
+    def coeffs(self) -> dict[int, LaurentPoly]:
+        return self._terms
+
+    def _new(self, terms: dict) -> "HeckeElement":
+        out = super()._new(terms)
+        out.system = self.system
+        return out
+
     def __add__(self, other):
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        if other.system is not self.system:
+        if isinstance(other, HeckeElement) and other.system is not self.system:
             raise ValueError("elements live in different Hecke algebras")
-        coeffs = dict(self.coeffs)
-        for w, p in other.coeffs.items():
-            q = coeffs.get(w)
-            q = p if q is None else q + p
-            if q:
-                coeffs[w] = q
-            elif w in coeffs:
-                del coeffs[w]
-        return HeckeElement(self.system, coeffs)
+        return super().__add__(other)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c) -> "HeckeElement":
         """Multiply by an integer or Laurent polynomial scalar."""
-        if isinstance(c, int):
-            c = LaurentPoly({0: c})
-        return HeckeElement(self.system, {w: p * c for w, p in self.coeffs.items()})
+        return HeckeElement(self.system, {w: p * c for w, p in self._terms.items()})
 
     def coeff(self, w: int) -> LaurentPoly:
-        return self.coeffs.get(w, LaurentPoly())
+        return self._terms.get(w, LaurentPoly())
 
     def __eq__(self, other):
         if not isinstance(other, HeckeElement):
             return NotImplemented
-        return self.system is other.system and self.coeffs == other.coeffs
+        return self.system is other.system and self._terms == other._terms
+
+    def _term(self, w, p) -> str:
+        return "(%s)*h[%s]" % (p, self.system.word_name(w))
 
     def __repr__(self):
-        sy = self.system
-        bits = ["(%s)*h[%s]" % (p, sy.word_name(w)) for w, p in sorted(self.coeffs.items())]
-        return "HeckeElement(" + (" + ".join(bits) if bits else "0") + ")"
+        return "HeckeElement(%s)" % Terms.__str__(self)
+
+    __str__ = __repr__
 
 
 def mult_by_gen(h: HeckeElement, s: int, side: str = "right") -> HeckeElement:
@@ -78,22 +75,13 @@ def mult_by_gen(h: HeckeElement, s: int, side: str = "right") -> HeckeElement:
     sy = h.system
     table = sy.right[s] if side == "right" else sy.left[s]
     vinv_minus_v = LaurentPoly({-1: 1, 1: -1})
-    out = {}
-
-    def bump(w, p):
-        q = out.get(w)
-        q = p if q is None else q + p
-        if q:
-            out[w] = q
-        elif w in out:
-            del out[w]
-
+    terms = []
     for w, p in h.coeffs.items():
         ws = table[w]
-        bump(ws, p)
+        terms.append((ws, p))
         if sy.lengths[ws] < sy.lengths[w]:
-            bump(w, p * vinv_minus_v)
-    return HeckeElement(sy, out)
+            terms.append((w, p * vinv_minus_v))
+    return HeckeElement(sy, terms)
 
 
 class KLTable:

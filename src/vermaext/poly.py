@@ -1,25 +1,31 @@
-"""Sparse integer Laurent polynomials in v, polynomials in two variables, and
-the packed-int form the Kazhdan-Lusztig and R-polynomial tables compute in.
+"""Sparse sums with exact coefficients: Laurent polynomials in v, polynomials
+in two variables, and the packed-int form the Kazhdan-Lusztig and
+R-polynomial tables compute in.
 
-Everything here is exact: coefficients are Python ints (arbitrary precision),
-zero coefficients are never stored, and equality is structural.  The tables
-hand out LaurentPoly values, so there is no floating point anywhere.
+Terms is the one sparse-sum format: a dict {key: coefficient} that never
+stores a zero coefficient.  It owns the merging constructor, +, truth,
+equality, hashing, sorted items() and the signed printer.  LaurentPoly (key:
+exponent of v), BiPoly (key: exponents of u and v) and hecke.HeckeElement
+(key: group element, coefficient: LaurentPoly) add only their own
+arithmetic.  Coefficients are Python ints (arbitrary precision) or exact
+polynomials, so there is no floating point anywhere.
 """
 
 from __future__ import annotations
 
+# bound once: a global is found faster than the attribute object.__new__
+_allocate = object.__new__
 
-class LaurentPoly:
-    """A Laurent polynomial sum_k c_k v^k with integer coefficients.
 
-    Internally a dict {exponent: coefficient} with no zero entries.
-    Instances are immutable; all operations return new objects.
+class Terms:
+    """A finite sum of coefficients at keys, kept as a dict with no zero
+    coefficient.  Instances are immutable; operations return new objects.
 
-    >>> p = LaurentPoly({1: 1, -1: -1})
-    >>> p * p
-    LaurentPoly('v^2 - 2 + v^-2')
-    >>> p.bar() == -p
-    True
+    The constructor takes a dict or an iterable of (key, coefficient) pairs,
+    adds up repeated keys and drops zeros.  A coefficient is an int or a value
+    that adds to the int 0, as LaurentPoly does.  Subclasses may turn the other
+    operand of + and == into their own kind in _coerce; values of different
+    kinds are never equal, and adding them raises TypeError.
     """
 
     __slots__ = ("_terms",)
@@ -32,41 +38,110 @@ class LaurentPoly:
                     c0 = clean.get(k, 0) + c
                     if c0:
                         clean[k] = c0
-                    elif k in clean:
+                    else:
                         del clean[k]
         self._terms = clean
 
-    # -- ring structure ----------------------------------------------------
+    def _new(self, terms: dict):
+        """A value of self's kind over terms, which already has no zero."""
+        out = _allocate(type(self))
+        out._terms = terms
+        return out
+
+    def _coerce(self, other):
+        return NotImplemented
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        if type(other) is not type(self):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         terms = dict(self._terms)
         for k, c in other._terms.items():
             c0 = terms.get(k, 0) + c
             if c0:
                 terms[k] = c0
-            elif k in terms:
+            else:
                 del terms[k]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = terms
-        return out
+        return self._new(terms)
 
-    __radd__ = __add__
+    def __bool__(self):
+        return bool(self._terms)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self):
+        # a value with no key but 0 hashes as its coefficient there, so a
+        # constant LaurentPoly and the int it equals are one dict key
+        terms = self._terms
+        if not terms or len(terms) == 1 and 0 in terms:
+            return hash(terms.get(0, 0))
+        return hash(frozenset(terms.items()))
+
+    def items(self):
+        """(key, coefficient) pairs in ascending key order."""
+        return sorted(self._terms.items())
+
+    # -- printing ----------------------------------------------------------
+
+    _descending = False  # print the largest key first
+
+    def _term(self, k, c) -> str:
+        """The term c times the subclass's _monomial(k) ("" for the constant
+        one), with a leading "-" when c < 0."""
+        m = self._monomial(k)
+        mag = abs(c)
+        body = str(mag) if not m else m if mag == 1 else "%d*%s" % (mag, m)
+        return body if c > 0 else "-" + body
+
+    def __str__(self):
+        term = self._term
+        bits = []
+        for k, c in sorted(self._terms.items(), reverse=self._descending):
+            t = term(k, c)
+            if bits:
+                t = "- " + t[1:] if t[0] == "-" else "+ " + t
+            bits.append(t)
+        return " ".join(bits) if bits else "0"
+
+    def __repr__(self):
+        return "%s(%r)" % (type(self).__name__, str(self))
+
+
+class LaurentPoly(Terms):
+    """A Laurent polynomial sum_k c_k v^k with integer coefficients, as
+    {exponent: coefficient}.  Ints take part in +, -, * and ==.
+
+    >>> p = LaurentPoly({1: 1, -1: -1})
+    >>> p * p
+    LaurentPoly('v^2 - 2 + v^-2')
+    >>> p.bar() == -p
+    True
+    """
+
+    __slots__ = ()
+    _descending = True
+
+    def _coerce(self, other):
+        return LaurentPoly({0: other}) if isinstance(other, int) else NotImplemented
+
+    def _monomial(self, e) -> str:
+        return "" if e == 0 else "v" if e == 1 else "v^%d" % e
+
+    # -- ring structure ----------------------------------------------------
+
+    __radd__ = Terms.__add__
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {k: -c for k, c in self._terms.items()}
-        return out
+        return self._new({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
@@ -75,10 +150,8 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return LaurentPoly()
-            out = LaurentPoly.__new__(LaurentPoly)
-            out._terms = {k: c * other for k, c in self._terms.items()}
-            return out
-        if not isinstance(other, LaurentPoly):
+            return self._new({k: c * other for k, c in self._terms.items()})
+        if type(other) is not LaurentPoly:
             return NotImplemented
         terms = {}
         for k1, c1 in self._terms.items():
@@ -87,56 +160,31 @@ class LaurentPoly:
                 c0 = terms.get(k, 0) + c1 * c2
                 if c0:
                     terms[k] = c0
-                elif k in terms:
+                else:
                     del terms[k]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = terms
-        return out
+        return self._new(terms)
 
     __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
 
     # -- substitutions and accessors ---------------------------------------
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by v^k."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e + k: c for e, c in self._terms.items()}
-        return out
+        return self._new({e + k: c for e, c in self._terms.items()})
 
     def bar(self) -> "LaurentPoly":
         """The involution v -> v^-1."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {-e: c for e, c in self._terms.items()}
-        return out
+        return self._new({-e: c for e, c in self._terms.items()})
 
     def subst_neg_inv(self) -> "LaurentPoly":
         """The involution v -> -v^-1, so v^k -> (-1)^k v^-k."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {-e: (c if e % 2 == 0 else -c) for e, c in self._terms.items()}
-        return out
+        return self._new({-e: (c if e % 2 == 0 else -c) for e, c in self._terms.items()})
 
     def eval_at_one(self) -> int:
         return sum(self._terms.values())
 
     def coeff(self, k: int) -> int:
         return self._terms.get(k, 0)
-
-    def items(self):
-        """(exponent, coefficient) pairs in ascending exponent order."""
-        return sorted(self._terms.items())
 
     def degree_span(self) -> tuple[int, int]:
         """(min exponent, max exponent).  Raises on the zero polynomial."""
@@ -147,36 +195,8 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
 
-    # -- serialization -----------------------------------------------------
-
     def to_json(self) -> dict:
         return {"var": "v", "terms": [[e, c] for e, c in self.items()]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LaurentPoly":
-        if data.get("var") != "v":
-            raise ValueError("expected a polynomial in v")
-        return cls({int(e): int(c) for e, c in data["terms"]})
-
-    def __repr__(self):
-        return "LaurentPoly(%r)" % (str(self),)
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        bits = []
-        for e, c in sorted(self._terms.items(), reverse=True):
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "v" if e == 1 else "v^%d" % e
-                body = var if mag == 1 else "%d*%s" % (mag, var)
-            if not bits:
-                bits.append(body if c > 0 else "-" + body)
-            else:
-                bits.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(bits)
 
 
 ONE = LaurentPoly({0: 1})
@@ -207,107 +227,31 @@ class PackedPolys:
         return p
 
 
-class BiPoly:
-    """A polynomial in two variables u, v with integer coefficients.
+class BiPoly(Terms):
+    """A polynomial in two variables u, v with integer coefficients, as
+    {(u_exp, v_exp): coefficient}."""
 
-    Stored as {(u_exp, v_exp): coefficient}.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for key, c in (terms.items() if isinstance(terms, dict) else terms):
-                if c:
-                    k = (int(key[0]), int(key[1]))
-                    c0 = clean.get(k, 0) + c
-                    if c0:
-                        clean[k] = c0
-                    elif k in clean:
-                        del clean[k]
-        self._terms = clean
+    __slots__ = ()
 
     @classmethod
     def from_uv_product(cls, pu: LaurentPoly, pv: LaurentPoly) -> "BiPoly":
         """The product pu(u) * pv(v) as a two-variable polynomial."""
-        terms = {}
-        for a, ca in pu.items():
-            for b, cb in pv.items():
-                terms[(a, b)] = ca * cb
-        return cls(terms)
+        return cls(((a, b), ca * cb) for a, ca in pu.items() for b, cb in pv.items())
 
-    def __add__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        terms = dict(self._terms)
-        for k, c in other._terms.items():
-            c0 = terms.get(k, 0) + c
-            if c0:
-                terms[k] = c0
-            elif k in terms:
-                del terms[k]
-        out = BiPoly.__new__(BiPoly)
-        out._terms = terms
-        return out
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+    def _monomial(self, k) -> str:
+        a, b = k
+        u = "" if a == 0 else "u" if a == 1 else "u^%d" % a
+        v = "" if b == 0 else "v" if b == 1 else "v^%d" % b
+        return u + "*" + v if u and v else u or v
 
     def coeff(self, u_exp: int, v_exp: int) -> int:
         return self._terms.get((u_exp, v_exp), 0)
 
-    def items(self):
-        """((u_exp, v_exp), coefficient) pairs in lexicographic order."""
-        return sorted(self._terms.items())
-
     def swap_vars(self) -> "BiPoly":
-        out = BiPoly.__new__(BiPoly)
-        out._terms = {(b, a): c for (a, b), c in self._terms.items()}
-        return out
+        return self._new({(b, a): c for (a, b), c in self._terms.items()})
 
     def total_degrees(self) -> set[int]:
         return {a + b for (a, b) in self._terms}
 
     def to_json(self) -> dict:
         return {"vars": ["u", "v"], "terms": [[a, b, c] for (a, b), c in self.items()]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BiPoly":
-        if data.get("vars") != ["u", "v"]:
-            raise ValueError("expected a polynomial in u, v")
-        return cls({(int(a), int(b)): int(c) for a, b, c in data["terms"]})
-
-    def __repr__(self):
-        return "BiPoly(%r)" % (str(self),)
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-
-        def mono(a, b):
-            parts = []
-            if a:
-                parts.append("u" if a == 1 else "u^%d" % a)
-            if b:
-                parts.append("v" if b == 1 else "v^%d" % b)
-            return "*".join(parts)
-
-        bits = []
-        for (a, b), c in self.items():
-            m = mono(a, b)
-            mag = abs(c)
-            body = m if (mag == 1 and m) else (str(mag) if not m else "%d*%s" % (mag, m))
-            if not bits:
-                bits.append(body if c > 0 else "-" + body)
-            else:
-                bits.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(bits)

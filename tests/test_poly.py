@@ -1,8 +1,11 @@
-import json
+import doctest
 
 import pytest
 from hypothesis import given, strategies as st
 
+import vermaext.poly
+from vermaext.coxeter import build_system
+from vermaext.hecke import HeckeElement
 from vermaext.poly import ONE, BiPoly, LaurentPoly
 
 
@@ -88,7 +91,6 @@ class TestAccessors:
         p = lp({-3: -1, -1: 2, 1: -2, 3: 1})
         blob = p.to_json()
         assert blob == {"var": "v", "terms": [[-3, -1], [-1, 2], [1, -2], [3, 1]]}
-        assert LaurentPoly.from_json(json.loads(json.dumps(blob))) == p
 
 
 class TestBiPoly:
@@ -106,4 +108,41 @@ class TestBiPoly:
         p = BiPoly({(0, 1): 1, (1, 0): 1})
         blob = p.to_json()
         assert blob == {"vars": ["u", "v"], "terms": [[0, 1, 1], [1, 0, 1]]}
-        assert BiPoly.from_json(blob) == p
+
+
+class TestTerms:
+    def test_equal_values_hash_equal(self):
+        assert 1 in {ONE}
+        assert {ONE: "x"}[1] == "x"
+        assert 0 in {LaurentPoly()}
+        assert lp({0: -3}) in {-3}
+
+    def test_type_rules(self):
+        p, b = lp({0: 1}), BiPoly({(0, 0): 1})
+        assert p != b and b != p
+        for left, right in ((p, b), (b, p), (b, 1), (1, b)):
+            with pytest.raises(TypeError):
+                left + right
+        assert p + 1 == 1 + p == lp({0: 2})
+        assert p - 1 == 1 - p == 0
+        sy, other = build_system("A2"), build_system("A2")
+        with pytest.raises(ValueError):
+            HeckeElement.standard(sy, 0) + HeckeElement.standard(other, 0)
+        assert HeckeElement.standard(sy, 0) != HeckeElement.standard(other, 0)
+
+    def test_printed_forms(self):
+        assert str(lp({1: -1, -3: 5})) == "-v + 5*v^-3"
+        assert str(lp({0: -3})) == "-3"
+        b = BiPoly({(0, 0): -2, (1, 0): 1, (0, 2): -1, (3, 1): 4})
+        assert str(b) == "-2 - v^2 + u + 4*u^3*v"
+        sy = build_system("A2")
+        h = HeckeElement(sy, {0: lp({1: 1}), 3: lp({-1: -2})})
+        assert repr(h) == "HeckeElement((v)*h[e] + (-2*v^-1)*h[s1*s2])"
+        zeros = (LaurentPoly(), BiPoly(), HeckeElement(sy))
+        assert [str(z) for z in zeros[:2]] == ["0", "0"]
+        assert [repr(z) for z in zeros] == [
+            "LaurentPoly('0')", "BiPoly('0')", "HeckeElement(0)"]
+
+    def test_doctests(self):
+        result = doctest.testmod(vermaext.poly)
+        assert result.attempted >= 3 and not result.failed
