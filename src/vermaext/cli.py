@@ -56,9 +56,17 @@ def _poly_out(args, poly) -> str:
 # -- table emission ------------------------------------------------------------
 
 
+def _csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().rstrip("\n")
+
+
 def emit_table(kind: str, system: CoxeterSystem, fmt: str, J: str = "") -> str:
-    """Full table of one kind, both indices sorted by (length, index):
-    'rpoly' (R-polynomials) or 'expected' (expected-dimension generating
+    """Full table of one kind, both indices in index, i.e. (length, index),
+    order: 'rpoly' (R-polynomials) or 'expected' (expected-dimension generating
     polynomials in u, v) over W x W, 'singular' or 'parabolic' over the
     minimal coset representatives for the generators J.  Text output of the
     W x W kinds mirrors the reference layout (rows are the first index x,
@@ -79,9 +87,8 @@ def emit_table(kind: str, system: CoxeterSystem, fmt: str, J: str = "") -> str:
             "full-table emission capped at %d rows (got %d %s)"
             % (TABLE_EMIT_CAP, len(index), rows_of)
         )
-    order = sorted(index, key=lambda w: (system.lengths[w], w))
-    names = [system.word_name(w) for w in order]
-    values = [[cell(x, y) for y in order] for x in order]
+    names = [system.word_name(w) for w in index]
+    values = [[cell(x, y) for y in index] for x in index]
     nonzero = [
         (names[i], names[j], value)
         for i, row in enumerate(values)
@@ -92,12 +99,8 @@ def emit_table(kind: str, system: CoxeterSystem, fmt: str, J: str = "") -> str:
         cells = [{"x": x, "y": y, "value": value.to_json()} for x, y, value in nonzero]
         return json.dumps({"kind": kind, **meta, "cells": cells}, sort_keys=True)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["x", "y", "terms"])
-        for x, y, value in nonzero:
-            writer.writerow([x, y, json.dumps(value.to_json()["terms"])])
-        return buf.getvalue().rstrip("\n")
+        return _csv(["x", "y", "terms"],
+                    ([x, y, json.dumps(value.to_json()["terms"])] for x, y, value in nonzero))
     if kind in ("singular", "parabolic"):
         return "\n".join("%s , %s : %s" % entry for entry in nonzero)
     # text: markdown-ish grid
@@ -205,11 +208,7 @@ def cmd_grid(args) -> str:
     grid = hom_grid(KLTable(sy), sy.element(args.target), sy.element(args.source))
     cells = grid.nonzero()
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["a", "b", "dim"])
-        writer.writerows(cells)
-        return buf.getvalue().rstrip("\n")
+        return _csv(["a", "b", "dim"], cells)
     return _records(
         args,
         {"target": sy.word_name(grid.target), "source": sy.word_name(grid.source),
@@ -233,20 +232,19 @@ def cmd_triangle(args) -> str:
 
 def cmd_scan(args) -> str:
     sy = build_system(args.type, cap=args.cap)
-    partition = equiv_classes(sy)
-    report = all_expected_predicate(sy, partition=partition)
+    report = all_expected_predicate(sy)
     name = sy.word_name
     if args.format == "json":
         return json.dumps({
             "type": sy.type_label,
-            "pairs": len(partition.keys),
+            "pairs": report.pairs,
             "verdict": report.verdict,
             "sign_violations": [{"x": name(x), "y": name(y), "exponents": bad}
                                 for x, y, bad in report.sign_violations],
             "uncertified": [{"x": name(x), "y": name(y)} for x, y in report.uncertified],
         }, sort_keys=True)
     return "\n".join([
-        "%s: %d comparable pairs" % (sy.type_label, len(partition.keys)),
+        "%s: %d comparable pairs" % (sy.type_label, report.pairs),
         "all extensions expected: %s" % ("yes" if report.verdict else "no"),
         *("sign violation (%s, %s) at %s" % (name(x), name(y), bad)
           for x, y, bad in report.sign_violations),

@@ -16,8 +16,9 @@ s0 and s1; all other types use s1..sn in Bourbaki numbering.
 from __future__ import annotations
 
 import re
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import repeat
+from math import factorial
 
 import numpy as np
 
@@ -54,13 +55,9 @@ def _cartan_and_names(label: str):
     """Cartan matrix, generator names and group order for a type label."""
     label = canonical_label(label)
     family, n = label[0], int(label[1:])
-
-    def fact(k):
-        return reduce(lambda a, b: a * b, range(1, k + 1), 1)
-
     if family == "A" and n >= 1:
         cartan = _chain_cartan(n)
-        order = fact(n + 1)
+        order = factorial(n + 1)
     elif family in ("B", "C") and n >= 2:
         cartan = _chain_cartan(n)
         if family == "B" and n == 3:
@@ -72,7 +69,7 @@ def _cartan_and_names(label: str):
             cartan[n - 1][n - 2] = -2
         else:
             cartan[n - 2][n - 1] = -2
-        order = (2 ** n) * fact(n)
+        order = (2 ** n) * factorial(n)
     elif family == "D" and n >= 4:
         cartan = _chain_cartan(n - 1)
         for row in cartan:
@@ -81,7 +78,7 @@ def _cartan_and_names(label: str):
         cartan[n - 1][n - 1] = 2
         cartan[n - 1][n - 3] = -1
         cartan[n - 3][n - 1] = -1
-        order = (2 ** (n - 1)) * fact(n)
+        order = (2 ** (n - 1)) * factorial(n)
     elif family == "E" and n in (6, 7, 8):
         # Bourbaki: chain 1-3-4-5-6(-7-8), node 2 attached to node 4.
         cartan = [[0] * n for _ in range(n)]
@@ -148,6 +145,9 @@ class CoxeterSystem:
 
     Elements are indices 0..order-1 in ShortLex order of their canonical
     reduced words, so the identity is 0 and the longest element is order-1.
+    Order rule: index order is (length, index) order, so any set of elements
+    listed by ascending index is sorted by length, and its last element is
+    one of greatest length.  Nothing downstream re-sorts by length.
     Instances are immutable after construction and safe to share.
     """
 
@@ -363,10 +363,8 @@ class CoxeterSystem:
         return np.flatnonzero(bits).tolist()
 
     def bruhat_interval(self, y: int, x: int) -> list[int]:
-        """Elements z with y <= z <= x, sorted by (length, index)."""
-        zs = [z for z in self.bruhat_downset(x) if self.bruhat_leq(y, z)]
-        zs.sort(key=lambda z: (self.lengths[z], z))
-        return zs
+        """Elements z with y <= z <= x, in index, i.e. (length, index), order."""
+        return [z for z in self.bruhat_downset(x) if self.bruhat_leq(y, z)]
 
     def comparable_pairs(self):
         """All ordered pairs (x, y) with x >= y, sorted by index."""
@@ -403,10 +401,7 @@ class CoxeterSystem:
             return 0
         if word == "w0":
             return self.w0
-        x = 0
-        for tok in word.split("*"):
-            x = self.right[self.gen_index(tok)][x]
-        return x
+        return self.from_word(self.gen_index(tok) for tok in word.split("*"))
 
     def from_word(self, word) -> int:
         """Element from an iterable of generator indices."""

@@ -23,7 +23,7 @@ import numpy as np
 
 from .coxeter import CoxeterSystem
 from .hecke import KLTable
-from .intervals import EquivPartition
+from .intervals import equiv_classes
 from .poly import BiPoly
 from .rpoly import RTable
 
@@ -67,7 +67,6 @@ def triangle_region(system: CoxeterSystem, x: int, y: int) -> TriangleRegion:
             if a == 0 and b > -d:
                 continue  # dashed vertical edge
             pts.append(TrianglePoint(a, b, expected=(b == 2 * a - d), south=south, east=east))
-    pts.sort(key=lambda p: (p.a, p.b))
     return TriangleRegion(d, tuple(pts))
 
 
@@ -270,6 +269,7 @@ class AllExpectedReport:
     system: CoxeterSystem
     sign_violations: list[tuple[int, int, list[int]]]
     uncertified: list[tuple[int, int]]
+    pairs: int  # comparable pairs screened
 
     @property
     def verdict(self) -> bool:
@@ -301,29 +301,24 @@ class AllExpectedReport:
         return "\n".join(lines)
 
 
-def all_expected_predicate(
-    system: CoxeterSystem,
-    kl: KLTable | None = None,
-    rt: RTable | None = None,
-    partition=None,
-) -> AllExpectedReport:
+def all_expected_predicate(system: CoxeterSystem) -> AllExpectedReport:
     """Screen the whole group: verdict True means every comparable pair both
     passes the sign rule and carries a determination certificate, i.e. all
     graded extensions between Vermas are the expected ones.  A True verdict
     is a proof only where a certificate clause is itself a proof (it is, for
     every clause used here); sign consistency alone is only necessary.
 
-    Work is done once per descent class: a move shortening both coordinates
-    on one side keeps r_{x,y} (Bjorner-Brenti, Combinatorics of Coxeter
-    Groups, Ch. 5) and the length gap, so the sign rule and r_determined
-    are read off least pairs and gathered to pairs by class id.  A class
-    counts as certified when its least pair's certificate is a class-level
-    one; trivial KL depends on y alone, so it is asked once per y of the
-    other classes.  A partition passed in only saves building one.
+    The scan builds its own KL and R tables and descent partition, so every
+    caller runs the same computation.  Work is done once per descent class:
+    a move shortening both coordinates on one side keeps r_{x,y}
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, Ch. 5) and the length
+    gap, so the sign rule and r_determined are read off least pairs and
+    gathered to pairs by class id.  A class counts as certified when its
+    least pair's certificate is a class-level one; trivial KL depends on y
+    alone, so it is asked once per y of the other classes.
     """
-    rt = rt or RTable(system)
-    kl = kl or KLTable(system)
-    part = partition if partition is not None else EquivPartition(system)
+    rt, kl = RTable(system), KLTable(system)
+    part = equiv_classes(system)
     least = part.pairs_at(part.least)
     signs = [rt.sign_compatibility(x, y) for x, y in least]
     certs = [r_determined(system, x, y, kl=kl, partition=part) for x, y in least]
@@ -338,4 +333,5 @@ def all_expected_predicate(
     trivial[ys] = True
     asked = np.flatnonzero(trivial)
     trivial[asked] = [trivial_kl_certificate(kl, y) for y in asked.tolist()]
-    return AllExpectedReport(system, violations, part.pairs_at(bare[~trivial[ys]]))
+    uncertified = part.pairs_at(bare[~trivial[ys]])
+    return AllExpectedReport(system, violations, uncertified, len(part.keys))

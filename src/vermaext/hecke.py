@@ -160,8 +160,8 @@ class KLTable:
 
     def nontrivial_from(self, x: int) -> list[tuple[int, LaurentPoly]]:
         """All y >= x whose p_{x,y} is not the single monomial v^(l(y)-l(x))."""
-        ys = sorted(range(self.system.order), key=lambda y: (self.system.lengths[y], y))
-        return [(y, self.kl_poly(x, y)) for y in ys if not self.is_trivial(x, y)]
+        return [(y, self.kl_poly(x, y)) for y in range(self.system.order)
+                if not self.is_trivial(x, y)]
 
     def is_trivial(self, x: int, y: int) -> bool:
         """True when p_{x,y} is zero or the expected top monomial alone."""
@@ -170,8 +170,8 @@ class KLTable:
         return not p or p == 1 << (self._values.bits * (lengths[y] - lengths[x]))
 
     def fill_all(self):
-        """Precompute the whole triangular table (small groups only)."""
-        for y in sorted(range(self.system.order), key=lambda w: self.system.lengths[w]):
+        """Precompute the whole triangular table (small groups only), by length."""
+        for y in range(self.system.order):
             self._row(y)
 
 

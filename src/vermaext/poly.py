@@ -233,11 +233,6 @@ class BiPoly(Terms):
 
     __slots__ = ()
 
-    @classmethod
-    def from_uv_product(cls, pu: LaurentPoly, pv: LaurentPoly) -> "BiPoly":
-        """The product pu(u) * pv(v) as a two-variable polynomial."""
-        return cls(((a, b), ca * cb) for a, ca in pu.items() for b, cb in pv.items())
-
     def _monomial(self, k) -> str:
         a, b = k
         u = "" if a == 0 else "u" if a == 1 else "u^%d" % a

@@ -187,12 +187,11 @@ def r_oracle_table(kl: KLTable) -> dict[tuple[int, int], LaurentPoly]:
     delta = [{x: kl.kl_poly(y, x) for x in range(n) if kl.kl_poly(y, x)} for y in range(n)]
     nabla = [{x: p.bar() for x, p in row.items()} for row in delta]
 
-    by_length = sorted(range(n), key=lambda w: (sy.lengths[w], w))
     table: dict[tuple[int, int], LaurentPoly] = {}
     for y in range(n):
         target = dict(delta[y])
         sol: dict[int, LaurentPoly] = {}
-        for x in by_length:
+        for x in range(n):  # index order is by length
             c = target.get(x, _ZERO) - sum(
                 (nabla[z].get(x, _ZERO) * sol[z] for z in sol), _ZERO
             )
@@ -224,13 +223,12 @@ class ParabolicRTable:
         self.system = rtable.system
         self.parabolic = parabolic
         self.kind = kind
-        sy = self.system
         if kind == "singular":
             self.reps = parabolic.coset_reps_right
         else:
             self.reps = parabolic.coset_reps_left
         self._rep_set = frozenset(self.reps)
-        self.top = max(self.reps, key=lambda w: sy.lengths[w])
+        self.top = self.reps[-1]  # the longest representative
         self._memo: dict[tuple[int, int], LaurentPoly] = {}
 
     def _require_rep(self, w: int):

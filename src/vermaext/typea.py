@@ -61,15 +61,13 @@ def bigrassmannian_chain(system: CoxeterSystem, i: int, j: int) -> list[int]:
     exactly 1 + q_{i,j} of them, the smallest being w_hat."""
     _require_type_a(system)
     li, rj = i - 1, j - 1
-    chain = [
+    return [
         w
         for w in range(system.order)
         if system.is_bigrassmannian(w)
         and system.left_descents(w) == frozenset([li])
         and system.right_descents(w) == frozenset([rj])
     ]
-    chain.sort(key=lambda w: system.lengths[w])
-    return chain
 
 
 def phi_degree(system: CoxeterSystem, i: int, j: int, u: int) -> int:
@@ -88,16 +86,14 @@ def phi_degree(system: CoxeterSystem, i: int, j: int, u: int) -> int:
 
 
 def bm_set(system: CoxeterSystem, w: int) -> list[int]:
-    """Bruhat-maximal elements among the bigrassmannians below w."""
+    """Bruhat-maximal elements among the bigrassmannians below w, in index order."""
     _require_type_a(system)
     below = [u for u in system.bruhat_downset(w) if system.is_bigrassmannian(u)]
-    out = [
+    return [
         u
         for u in below
         if not any(v != u and system.bruhat_leq(u, v) for v in below)
     ]
-    out.sort(key=lambda u: (system.lengths[u], u))
-    return out
 
 
 @dataclass(frozen=True)

@@ -125,12 +125,9 @@ def suite_a3_figure() -> SuiteResult:
 
 def suite_a3_all_expected() -> SuiteResult:
     res = SuiteResult("a3-all-expected")
-    a2 = build_system("A2")
-    rep2 = all_expected_predicate(a2, kl=KLTable(a2), rt=RTable(a2))
+    rep2 = all_expected_predicate(build_system("A2"))
     res.check("A2 verdict is true (rank 2)", rep2.verdict, rep2.summary())
-    a3 = build_system("A3")
-    part = equiv_classes(a3)
-    rep3 = all_expected_predicate(a3, kl=KLTable(a3), rt=RTable(a3), partition=part)
+    rep3 = all_expected_predicate(build_system("A3"))
     res.check("A3 verdict is true", rep3.verdict, rep3.summary())
     res.check("A3 signs consistent on every pair", rep3.signs_consistent)
     return res
@@ -149,7 +146,7 @@ def suite_d4_boe() -> SuiteResult:
     pairs = sy.comparable_pairs()
     bad = [(x, y) for x, y in pairs if not rt.delorme_check(x, y)]
     res.expect_equal("Delorme check over all %d comparable pairs" % len(pairs), bad, [])
-    rep = all_expected_predicate(sy, rt=rt, kl=KLTable(sy))
+    rep = all_expected_predicate(sy)
     res.check("D4 verdict is false", not rep.verdict)
     res.check("(w0, e) among the violators",
               any(x == sy.w0 and y == 0 for x, y, _ in rep.sign_violations))

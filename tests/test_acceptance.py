@@ -137,7 +137,7 @@ def test_all_expected_verdicts_by_type():
     a2 = build_system("A2")
     assert all_expected_predicate(a2).verdict
     a3 = build_system("A3")
-    assert all_expected_predicate(a3, partition=equiv_classes(a3)).verdict
+    assert all_expected_predicate(a3).verdict
     result = suite_a3_all_expected()
     assert result.passed, "\n".join(result.report_lines())
     d4 = build_system("D4")

@@ -391,7 +391,7 @@ class TestVerifyCommand:
         def exhausted(system):
             raise exc
 
-        monkeypatch.setattr("vermaext.cli.equiv_classes", exhausted)
+        monkeypatch.setattr("vermaext.extbounds.equiv_classes", exhausted)
         out_file = tmp_path / "F"
         for extra in ([], ["--output", str(out_file)]):
             assert run(["scan", "--type", "A2"] + extra) == 2

@@ -13,6 +13,9 @@ from vermaext.coxeter import (
 )
 
 TABLES = ("canonical_words", "lengths", "first_ascent", "right", "left", "inverse")
+# The types whose build is checked against the reference search below
+REFERENCE_TYPES = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5",
+                   "C3", "D4", "D5", "F4", "G2"]
 
 
 def reference_tables(system):
@@ -153,9 +156,27 @@ class TestStructure:
             assert len(word) == a3.lengths[w]
             assert a3.from_word(word) == w
 
-    def test_shortlex_indexing(self, a3):
-        keys = [(a3.lengths[w], a3.canonical_words[w]) for w in range(a3.order)]
+    @pytest.mark.parametrize("label", REFERENCE_TYPES)
+    def test_shortlex_indexing(self, label):
+        # index order is (length, index) order, and nothing downstream
+        # re-sorts by length: ascending lists of elements are sorted by
+        # length, and a coset's or subgroup's last element is its longest
+        sy = build_system(label)
+        keys = [(sy.lengths[w], sy.canonical_words[w]) for w in range(sy.order)]
         assert keys == sorted(keys)
+        assert all(a <= b for a, b in zip(sy.lengths, sy.lengths[1:]))
+        for y in range(sy.order):
+            down = sy.bruhat_downset(y)
+            assert down == sorted(down) and down[-1] == y
+        if label not in ("A3", "B3", "D4"):
+            return
+        for r in range(sy.rank + 1):
+            for J in itertools.combinations(range(sy.rank), r):
+                par = sy.parabolic(J)
+                for ws in (par.subgroup, par.coset_reps_right, par.coset_reps_left):
+                    assert list(ws) == sorted(ws)
+                    top = sy.lengths[ws[-1]]
+                    assert all(sy.lengths[w] < top for w in ws[:-1])
 
     @pytest.mark.parametrize("label", ["G2", "A3", "B3", "D4"])
     def test_canonical_words_are_shortlex_minimal(self, label):
@@ -191,10 +212,7 @@ class TestStructure:
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("label", [
-        "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5",
-        "C3", "D4", "D5", "F4", "G2",
-    ])
+    @pytest.mark.parametrize("label", REFERENCE_TYPES)
     def test_matches_reference_search(self, label):
         assert_matches_reference(build_system(label))
 

@@ -318,8 +318,8 @@ class TestAllExpected:
         report = all_expected_predicate(a2)
         assert report.verdict and report.signs_consistent
 
-    def test_a3_true(self, a3, kl3, rt3):
-        report = all_expected_predicate(a3, kl=kl3, rt=rt3, partition=equiv_classes(a3))
+    def test_a3_true(self, a3):
+        report = all_expected_predicate(a3)
         assert report.verdict
 
     def test_d4_boolean_search_linear_in_pairs(self, monkeypatch):
@@ -332,15 +332,14 @@ class TestAllExpected:
             CoxeterSystem, "is_boolean",
             lambda self, w: counted.append(w) or original(self, w),
         )
-        all_expected_predicate(d4, kl=KLTable(d4), rt=RTable(d4), partition=part)
+        all_expected_predicate(d4)
         assert 0 < len(counted) <= 2 * len(part.pairs)
 
     def test_trivial_kl_asked_once_per_least_pair_and_y(self, monkeypatch):
         # inside r_determined the predicate asks trivial_kl_certificate once
         # for the least pair of every class with no class-level certificate
         # (rank 2, small gap, Boolean, type A3); on those classes it asks
-        # once more for each distinct y among their pairs.  No partition is
-        # passed here, and the Boolean clause applies all the same
+        # once more for each distinct y among their pairs
         b3 = build_system("B3")
         part, kl = equiv_classes(b3), KLTable(b3)
         bare = [members for members in part.classes
@@ -352,21 +351,18 @@ class TestAllExpected:
             extbounds, "trivial_kl_certificate",
             lambda kl, y: calls.append(y) or original(kl, y),
         )
-        all_expected_predicate(b3, kl=KLTable(b3), rt=RTable(b3))
+        all_expected_predicate(b3)
         ys = {y for members in bare for _, y in members}
         assert len(bare) == 46 and len(ys) == 32
         assert len(calls) == len(bare) + len(ys) == 78
 
     @pytest.mark.parametrize("label", ["A3", "B3", "D4", "B4"])
-    @pytest.mark.parametrize("with_partition", [False, True])
-    def test_class_scan_matches_every_pair(self, label, with_partition):
+    def test_class_scan_matches_every_pair(self, label):
         # the predicate reads the sign rule and the class-level clauses off
         # each class's least pair; recompute both for every pair on its own,
-        # with fresh tables and a fresh partition.  The Boolean clause applies
-        # either way, so both cases must give this one report.
+        # with fresh tables and a fresh partition
         sy = build_system(label)
-        part = equiv_classes(sy) if with_partition else None
-        report = all_expected_predicate(sy, kl=KLTable(sy), rt=RTable(sy), partition=part)
+        report = all_expected_predicate(sy)
         rt, kl = RTable(sy), KLTable(sy)
         own = equiv_classes(sy)
         violations, uncertified = [], []
@@ -378,11 +374,12 @@ class TestAllExpected:
                 uncertified.append((x, y))
         assert report.sign_violations == violations
         assert report.uncertified == uncertified
+        assert report.pairs == len(sy.comparable_pairs())
         assert len({id(bad) for _, _, bad in report.sign_violations}) == len(violations)
 
     def test_d4_false_with_witness(self):
         d4 = build_system("D4")
-        report = all_expected_predicate(d4, rt=RTable(d4), kl=KLTable(d4))
+        report = all_expected_predicate(d4)
         assert not report.verdict
         assert any(x == d4.w0 and y == 0 for x, y, _ in report.sign_violations)
         assert "additional" in report.summary()

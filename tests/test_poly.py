@@ -94,12 +94,6 @@ class TestAccessors:
 
 
 class TestBiPoly:
-    def test_from_uv_product(self):
-        pu = lp({1: 1, 3: 2})
-        pv = lp({0: 1, 2: 1})
-        prod = BiPoly.from_uv_product(pu, pv)
-        assert prod == BiPoly({(1, 0): 1, (1, 2): 1, (3, 0): 2, (3, 2): 2})
-
     def test_swap(self):
         p = BiPoly({(1, 0): 1, (0, 2): 3})
         assert p.swap_vars() == BiPoly({(0, 1): 1, (2, 0): 3})
