@@ -27,6 +27,8 @@ import os
 import sys
 from functools import cache, partial
 
+import numpy as np
+
 from . import refdata
 from .coxeter import CoxeterSystem, build_system, canonical_label, DEFAULT_CAP
 from .extbounds import (
@@ -231,24 +233,32 @@ def cmd_triangle(args) -> str:
 
 
 def cmd_scan(args) -> str:
+    """The scan report, spelled from arrays: each element's name is written
+    (JSON-quoted under --format json) once, and the uncertified pairs are
+    read off their pair keys by gathering names, with no record per pair."""
     sy = build_system(args.type, cap=args.cap)
     report = all_expected_predicate(sy)
-    name = sy.word_name
+    quote = json.dumps if args.format == "json" else str
+    names = np.array([quote(sy.word_name(w)) for w in range(sy.order)], dtype=object)
+    x, y = np.divmod(report.uncertified_keys, sy.order)
+    uncertified = zip(names[x].tolist(), names[y].tolist())
+    # an exponent list prints the same by str() as by json.dumps()
+    violations = [(names[x], names[y], bad) for x, y, bad in report.sign_violations]
     if args.format == "json":
-        return json.dumps({
-            "type": sy.type_label,
-            "pairs": report.pairs,
-            "verdict": report.verdict,
-            "sign_violations": [{"x": name(x), "y": name(y), "exponents": bad}
-                                for x, y, bad in report.sign_violations],
-            "uncertified": [{"x": name(x), "y": name(y)} for x, y in report.uncertified],
-        }, sort_keys=True)
+        # what json.dumps(..., sort_keys=True) printed for one dict per pair
+        return '{"pairs": %d, "sign_violations": [%s], "type": %s, "uncertified": [%s], ' \
+               '"verdict": %s}' % (
+                   report.pairs,
+                   ", ".join('{"exponents": %s, "x": %s, "y": %s}' % (bad, x, y)
+                             for x, y, bad in violations),
+                   quote(sy.type_label),
+                   ", ".join(map('{"x": %s, "y": %s}'.__mod__, uncertified)),
+                   "true" if report.verdict else "false")
     return "\n".join([
         "%s: %d comparable pairs" % (sy.type_label, report.pairs),
         "all extensions expected: %s" % ("yes" if report.verdict else "no"),
-        *("sign violation (%s, %s) at %s" % (name(x), name(y), bad)
-          for x, y, bad in report.sign_violations),
-        *("no certificate for (%s, %s)" % (name(x), name(y)) for x, y in report.uncertified),
+        *("sign violation (%s, %s) at %s" % v for v in violations),
+        *map("no certificate for (%s, %s)".__mod__, uncertified),
     ])
 
 

@@ -292,6 +292,17 @@ class CoxeterSystem:
             fields[lo:hi] = c + step[:, :, None] * column[lo:hi, None]
         return _pack_fields(fields), int.from_bytes(b"\x80" * rank * rank, "little")
 
+    @cached_property
+    def w0_times(self) -> list[int]:
+        """w0_times[w] is w0 * w, equal to mult(w0, w); built on first use by
+        left-multiplying every element at once by the letters of w0's word.
+        w0 is an involution, so the letters may go in word order."""
+        left = np.array(self.left)
+        w0w = np.arange(self.order)
+        for j in self.canonical_words[self.w0]:
+            w0w = left[j][w0w]
+        return np.arange(self.order).astype(object)[w0w].tolist()
+
     # -- basic group operations ----------------------------------------------
 
     def mult(self, a: int, b: int) -> int:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .coxeter import CoxeterSystem
 from .hecke import KLTable
-from .intervals import equiv_classes
+from .intervals import equiv_classes, pairs_of_keys
 from .poly import BiPoly
 from .rpoly import RTable
 
@@ -224,10 +224,11 @@ def trivial_kl_certificate(kl: KLTable, y: int) -> bool:
     hit = kl.trivial_certificates.get(y)
     if hit is None:
         sy = kl.system
-        w0 = sy.w0
+        w0_times = sy.w0_times
+        # w >= y is y itself or longer, so it does not precede y in index order
         hit = kl.trivial_certificates[y] = all(
-            kl.is_trivial(y, w) and kl.is_trivial(0, sy.mult(w0, w))
-            for w in range(sy.order)
+            kl.is_trivial(y, w) and kl.is_trivial(0, w0_times[w])
+            for w in range(y, sy.order)
             if sy.bruhat_leq(y, w)
         )
     return hit
@@ -264,16 +265,37 @@ def r_determined(
     return None
 
 
-@dataclass
+@dataclass(eq=False)
 class AllExpectedReport:
+    """The outcome of all_expected_predicate on one group.
+
+    system: the group screened.
+    sign_violations: (x, y, exponents) for every comparable pair x >= y that
+        fails the sign rule, in pair order; exponents are those of
+        RTable.sign_compatibility, a new list for each pair.
+    uncertified_keys: the comparable pairs with no certificate, as a sorted
+        int64 array of pair keys x * order + y, so in pair order: by x, then
+        by y, each in index order.
+    pairs: the number of comparable pairs screened.
+
+    The property uncertified is the tuple view: the same pairs as (x, y)
+    tuples in the same order, spelled anew on each read.  Renderers read the
+    keys, so a whole-group scan makes no tuple per pair.  The report holds an
+    array, so reports compare by identity.
+    """
+
     system: CoxeterSystem
     sign_violations: list[tuple[int, int, list[int]]]
-    uncertified: list[tuple[int, int]]
-    pairs: int  # comparable pairs screened
+    uncertified_keys: np.ndarray
+    pairs: int
+
+    @property
+    def uncertified(self) -> list[tuple[int, int]]:
+        return pairs_of_keys(self.uncertified_keys, self.system.order)
 
     @property
     def verdict(self) -> bool:
-        return not self.sign_violations and not self.uncertified
+        return not self.sign_violations and not len(self.uncertified_keys)
 
     @property
     def signs_consistent(self) -> bool:
@@ -296,7 +318,7 @@ class AllExpectedReport:
         else:
             lines.append(
                 "%s: signs consistent with all-expected, but %d pair(s) lack a certificate."
-                % (sy.type_label, len(self.uncertified))
+                % (sy.type_label, len(self.uncertified_keys))
             )
         return "\n".join(lines)
 
@@ -315,7 +337,8 @@ def all_expected_predicate(system: CoxeterSystem) -> AllExpectedReport:
     gap, so the sign rule and r_determined are read off least pairs and
     gathered to pairs by class id.  A class counts as certified when its
     least pair's certificate is a class-level one; trivial KL depends on y
-    alone, so it is asked once per y of the other classes.
+    alone, so it is asked once per y of the other classes.  The uncertified
+    pairs are cut from the partition's sorted pair keys and stay keys.
     """
     rt, kl = RTable(system), KLTable(system)
     part = equiv_classes(system)
@@ -333,5 +356,4 @@ def all_expected_predicate(system: CoxeterSystem) -> AllExpectedReport:
     trivial[ys] = True
     asked = np.flatnonzero(trivial)
     trivial[asked] = [trivial_kl_certificate(kl, y) for y in asked.tolist()]
-    uncertified = part.pairs_at(bare[~trivial[ys]])
-    return AllExpectedReport(system, violations, uncertified, len(part.keys))
+    return AllExpectedReport(system, violations, part.keys[bare[~trivial[ys]]], len(part.keys))

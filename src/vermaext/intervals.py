@@ -20,6 +20,14 @@ from .coxeter import CoxeterSystem
 from .rpoly import RTable
 
 
+def pairs_of_keys(keys, order: int) -> list[tuple[int, int]]:
+    """The pair keys x * order + y as (x, y) tuples that share one int per
+    element: tolist() on an int array makes one per entry."""
+    elements = np.arange(order).astype(object)
+    x, y = np.divmod(keys, order)
+    return list(zip(elements[x].tolist(), elements[y].tolist()))
+
+
 class EquivPartition:
     """Components of the simultaneous-descent moves on pairs x >= y.
 
@@ -69,11 +77,8 @@ class EquivPartition:
         self.cids = cid_of_root[parent]
 
     def pairs_at(self, index) -> list[tuple[int, int]]:
-        """The pairs at the given positions, as (x, y) tuples that share one
-        int per element: tolist() on an int array makes one per entry."""
-        elements = np.arange(self.system.order).astype(object)
-        x, y = np.divmod(self.keys[index], self.system.order)
-        return list(zip(elements[x].tolist(), elements[y].tolist()))
+        """The pairs at the given positions, as (x, y) tuples."""
+        return pairs_of_keys(self.keys[index], self.system.order)
 
     @functools.cached_property
     def pairs(self) -> list[tuple[int, int]]:
@@ -96,7 +101,9 @@ class EquivPartition:
         return int(self.cids[i])
 
     def class_of(self, x: int, y: int) -> list[tuple[int, int]]:
-        return self.classes[self._cid(x, y)]
+        """The members of the class of (x, y), in pair order, as classes
+        lists them; only this class is spelled."""
+        return self.pairs_at(np.flatnonzero(self.cids == self._cid(x, y)))
 
     def same_class(self, pair1, pair2) -> bool:
         return self._cid(*pair1) == self._cid(*pair2)
@@ -114,7 +121,7 @@ class EquivPartition:
     def _boolean_classes(self):
         sy = self.system
         boolean = np.array([sy.is_boolean(w) for w in range(sy.order)])
-        coboolean = np.array([sy.is_boolean(sy.mult(sy.w0, w)) for w in range(sy.order)])
+        coboolean = boolean[sy.w0_times]
         x, y = np.divmod(self.keys, sy.order)
         hit = np.zeros(len(self.least), bool)
         hit[self.cids[boolean[x] | coboolean[y]]] = True

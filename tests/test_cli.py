@@ -8,6 +8,7 @@ import pytest
 import vermaext
 from vermaext.cli import build_parser, emit_table, run
 from vermaext.coxeter import build_system
+from vermaext.extbounds import all_expected_predicate
 from vermaext.poly import LaurentPoly
 from vermaext.refdata import A2_ORDER, A2_R_TABLE, E7_R_W0_E
 
@@ -181,6 +182,47 @@ class TestTableEmission:
         lines = out.splitlines()
         assert lines[0] == "x,y,terms"
         assert lines[2] == 's2,e,"[[-1, -1], [1, 1]]"'
+
+
+def reference_scan(label: str, fmt: str) -> str:
+    """The scan report as a dict per pair serialized by json.dumps, or one
+    formatted line per pair: what cmd_scan must print, byte for byte."""
+    sy = build_system(label)
+    report = all_expected_predicate(sy)
+    name = sy.word_name
+    if fmt == "json":
+        return json.dumps({
+            "type": sy.type_label,
+            "pairs": report.pairs,
+            "verdict": report.verdict,
+            "sign_violations": [{"x": name(x), "y": name(y), "exponents": bad}
+                                for x, y, bad in report.sign_violations],
+            "uncertified": [{"x": name(x), "y": name(y)} for x, y in report.uncertified],
+        }, sort_keys=True) + "\n"
+    return "\n".join([
+        "%s: %d comparable pairs" % (sy.type_label, report.pairs),
+        "all extensions expected: %s" % ("yes" if report.verdict else "no"),
+        *("sign violation (%s, %s) at %s" % (name(x), name(y), bad)
+          for x, y, bad in report.sign_violations),
+        *("no certificate for (%s, %s)" % (name(x), name(y)) for x, y in report.uncertified),
+    ]) + "\n"
+
+
+@pytest.mark.parametrize("label", ["A1", "G2", "A3", "B3", "D4", "B4"])
+def test_scan_renderer_matches_reference(capsys, label):
+    # A1 and G2 have a true verdict and empty lists; D4 and B4 have sign
+    # violations; csv prints the text form
+    for fmt in ("json", "text", "csv"):
+        code, out = capture(capsys, ["scan", "--type", label, "--format", fmt])
+        want = reference_scan(label, fmt)
+        # a bool, so a failure reports the first difference, not a diff of
+        # megabytes of output
+        same = out == want
+        first = next((i for i, (a, b) in enumerate(zip(out, want)) if a != b),
+                     min(len(out), len(want)))
+        assert code == 0
+        assert same, "%s %s: first difference at character %d: %r" % (
+            label, fmt, first, out[first:first + 40])
 
 
 class TestE7Reference:

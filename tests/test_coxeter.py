@@ -205,6 +205,12 @@ class TestStructure:
                 for t in range(a3.rank):
                     assert a3.left[s][a3.right[t][w]] == a3.right[t][a3.left[s][w]]
 
+    @pytest.mark.parametrize("label", ["A3", "B3", "D4", "B4", "F4", "D5"])
+    def test_w0_times_is_left_multiplication_by_w0(self, label):
+        sy = build_system(label)
+        assert sy.w0_times == [sy.mult(sy.w0, w) for w in range(sy.order)]
+        assert all(type(w) is int for w in sy.w0_times)
+
     def test_w0_conjugation_is_automorphism(self, a3, b3):
         for sy in (a3, b3):
             for w in range(sy.order):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from vermaext import extbounds
@@ -376,6 +377,15 @@ class TestAllExpected:
         assert report.uncertified == uncertified
         assert report.pairs == len(sy.comparable_pairs())
         assert len({id(bad) for _, _, bad in report.sign_violations}) == len(violations)
+
+    def test_uncertified_keys_are_sorted_pair_keys(self):
+        b3 = build_system("B3")
+        report = all_expected_predicate(b3)
+        keys = report.uncertified_keys
+        assert keys.dtype == np.int64 and len(keys) == 272
+        assert (np.diff(keys) > 0).all()
+        assert report.uncertified == [divmod(k, b3.order) for k in keys.tolist()]
+        assert "272 pair(s) lack a certificate" in report.summary()
 
     def test_d4_false_with_witness(self):
         d4 = build_system("D4")

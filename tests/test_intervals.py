@@ -111,6 +111,15 @@ def test_partition_matches_bfs_closure(label):
     assert dict(zip(part.pairs, part.cids)) == class_id
 
 
+@pytest.mark.parametrize("label", ["B3", "D4"])
+def test_class_of_spells_one_class(label):
+    # class_of gathers one class's members off the class ids; it must list
+    # what the whole class list holds, in the same order
+    part = equiv_classes(build_system(label))
+    for pair, cid in zip(part.pairs, part.cids.tolist()):
+        assert part.class_of(*pair) == part.classes[cid]
+
+
 class TestRConstancy:
     @pytest.mark.parametrize("label", ["A3", "B3"])
     def test_exhaustive(self, label):
