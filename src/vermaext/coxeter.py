@@ -368,14 +368,29 @@ class CoxeterSystem:
         row = self._rows.get(y) or self._downset_row(y)
         return bool(row[x >> 3] >> (x & 7) & 1)
 
+    def _downset_bits(self, y: int) -> np.ndarray:
+        """The row of y unpacked: one uint8 0 or 1 per element."""
+        return np.unpackbits(np.frombuffer(self._downset_row(y), np.uint8), count=self.order,
+                             bitorder="little")
+
     def bruhat_downset(self, y: int) -> list[int]:
         """All x with x <= y, in increasing index order."""
-        bits = np.unpackbits(np.frombuffer(self._downset_row(y), np.uint8), bitorder="little")
-        return np.flatnonzero(bits).tolist()
+        return np.flatnonzero(self._downset_bits(y)).tolist()
 
     def bruhat_interval(self, y: int, x: int) -> list[int]:
-        """Elements z with y <= z <= x, in index, i.e. (length, index), order."""
-        return [z for z in self.bruhat_downset(x) if self.bruhat_leq(y, z)]
+        """Elements z with y <= z <= x, in index, i.e. (length, index), order;
+        [] unless y <= x.  Read off two rows: left multiplication by w0
+        reverses the order, so z >= y iff w0 z <= w0 y, and the interval is
+        the row of x and-ed with the row of w0 y gathered through w0_times."""
+        below = self._downset_bits(x)
+        above = self._downset_bits(self.w0_times[y])[self.w0_times]
+        return np.flatnonzero(below & above).tolist()
+
+    def pair_gap(self, x: int, y: int, caller: str) -> int:
+        """l(x) - l(y) for a pair with x >= y; ValueError naming caller otherwise."""
+        if not self.bruhat_leq(y, x):
+            raise ValueError("%s needs x >= y" % caller)
+        return self.lengths[x] - self.lengths[y]
 
     def comparable_pairs(self):
         """All ordered pairs (x, y) with x >= y, sorted by index."""

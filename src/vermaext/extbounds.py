@@ -52,9 +52,7 @@ class TriangleRegion:
 
 
 def triangle_region(system: CoxeterSystem, x: int, y: int) -> TriangleRegion:
-    if not system.bruhat_leq(y, x):
-        raise ValueError("triangle_region needs x >= y")
-    d = system.lengths[x] - system.lengths[y]
+    d = system.pair_gap(x, y, "triangle_region")
     pts = []
     for a in range(d + 1):
         for b in range(2 * a - d, a + 1):
@@ -101,22 +99,19 @@ def kl_bound_poly(kl: KLTable, x_target: int, y_source: int) -> BiPoly:
     """Generating function of hom dimensions from the source Verma into the
     linear tilting coresolution of the target:
 
-        sum over z of p_{y w0, z w0}(u) * p_{x, z}(v),
+        sum over z in [x, y] of p_{y w0, z w0}(u) * p_{x, z}(v);
 
-    nonzero summands have x <= z <= y.  Coefficientwise it bounds every
-    graded ext between the pair.
+    the Bruhat interval holds exactly the nonzero summands (p_{x,z} != 0 iff
+    x <= z, p_{y w0, z w0} != 0 iff z <= y), so only its KL rows are built.
+    Coefficientwise it bounds every graded ext between the pair.
     """
     sy = kl.system
     w0 = sy.w0
     yw0 = sy.mult(y_source, w0)
     terms = []
-    for z in range(sy.order):
-        pv = kl.kl_poly(x_target, z)
-        if not pv:
-            continue
-        pu = kl.kl_poly(yw0, sy.mult(z, w0))
-        if pu:
-            terms += [((a, b), ca * cb) for a, ca in pu.items() for b, cb in pv.items()]
+    for z in sy.bruhat_interval(x_target, y_source):
+        pu, pv = kl.kl_poly(yw0, sy.mult(z, w0)), kl.kl_poly(x_target, z)
+        terms += [((a, b), ca * cb) for a, ca in pu.items() for b, cb in pv.items()]
     return BiPoly(terms)
 
 
@@ -140,13 +135,12 @@ def refined_bound(kl: KLTable, x: int, y: int, a: int, b: int) -> int:
     """Sharper bound off the expected edge: the hom-grid value minus the
     largest single contribution from a summand indexed by some w >= y with
     l(w) = l(y) + a, since a hom landing there cannot survive the
-    differential.  Expected-edge cells are out of scope (guard below); the
+    differential; w runs over [y, x], as p_{x w0, w w0} = 0 unless w <= x.
+    Expected-edge cells are out of scope (guard below); the
     subtracted maximum over an empty witness set is zero.  Clamped at 0.
     """
     sy = kl.system
-    if not sy.bruhat_leq(y, x):
-        raise ValueError("refined_bound needs x >= y")
-    d = sy.lengths[x] - sy.lengths[y]
+    d = sy.pair_gap(x, y, "refined_bound")
     if 2 * a - b == d:
         raise ValueError("refined_bound only applies off the expected edge")
     total = hom_grid(kl, y, x).value(a, b)
@@ -154,10 +148,9 @@ def refined_bound(kl: KLTable, x: int, y: int, a: int, b: int) -> int:
     xw0 = sy.mult(x, w0)
     best = 0
     ly = sy.lengths[y]
-    for w in range(sy.order):
-        if sy.lengths[w] != ly + a or not sy.bruhat_leq(y, w):
-            continue
-        best = max(best, kl.kl_poly(xw0, sy.mult(w, w0)).coeff(a - b))
+    for w in sy.bruhat_interval(y, x):
+        if sy.lengths[w] == ly + a:
+            best = max(best, kl.kl_poly(xw0, sy.mult(w, w0)).coeff(a - b))
     return max(total - best, 0)
 
 
@@ -170,9 +163,7 @@ def expected_dims(rt: RTable, x: int, y: int) -> ExtGrid:
     untrusted (some honest dimension off the edge is hidden in the sums).
     """
     sy = rt.system
-    if not sy.bruhat_leq(y, x):
-        raise ValueError("expected_dims needs x >= y")
-    d = sy.lengths[x] - sy.lengths[y]
+    d = sy.pair_gap(x, y, "expected_dims")
     p = rt.r_poly(x, y)
     violations = rt.sign_compatibility(x, y)
     cells = {}
@@ -190,13 +181,12 @@ def expected_dims(rt: RTable, x: int, y: int) -> ExtGrid:
 
 def expected_bipoly(rt: RTable, x: int, y: int) -> BiPoly:
     """Expected dimensions packed as the sum of dims * u^(d-a) v^a; zero
-    unless x >= y, like r_{x,y}."""
-    sy = rt.system
-    if not sy.bruhat_leq(y, x):
+    unless x >= y, like r_{x,y}.  A cell (a, b) lies on b = 2a - d, so
+    d - a = a - b."""
+    if not rt.system.bruhat_leq(y, x):
         return BiPoly()
-    d = sy.lengths[x] - sy.lengths[y]
     grid = expected_dims(rt, x, y)
-    return BiPoly({(d - a, a): v for (a, b), v in grid.cells.items()})
+    return BiPoly({(a - b, a): v for (a, b), v in grid.cells.items()})
 
 
 # -- certificates -------------------------------------------------------------
@@ -250,11 +240,10 @@ def r_determined(
     length gap at most 3; a boolean or coboolean member in the pair's class;
     the proven type A3 statement.  Trivial KL data above y comes last.
     """
-    if not system.bruhat_leq(y, x):
-        raise ValueError("r_determined needs x >= y")
+    d = system.pair_gap(x, y, "r_determined")
     if system.rank <= 2:
         return Certificate(RANK2)
-    if system.lengths[x] - system.lengths[y] <= 3:
+    if d <= 3:
         return Certificate(SMALL_LENGTH_GAP)
     if partition.boolean_member(x, y):
         return Certificate(BOOLEAN)

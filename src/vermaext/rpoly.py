@@ -134,10 +134,7 @@ class RTable:
 
     def r_coeff_list(self, x: int, y: int) -> list[int]:
         """Dense coefficients of r_{x,y} over exponents -d..d in steps of 2."""
-        sy = self.system
-        if not sy.bruhat_leq(y, x):
-            raise ValueError("r_coeff_list needs x >= y")
-        d = sy.lengths[x] - sy.lengths[y]
+        d = self.system.pair_gap(x, y, "r_coeff_list")
         p = self.r_poly(x, y)
         return [p.coeff(k) for k in range(-d, d + 1, 2)]
 
@@ -157,10 +154,7 @@ class RTable:
         certificate that the pair has an additional extension.  Answers are
         kept per (R~_{x,y}, d); each call returns a new list.
         """
-        sy = self.system
-        if not sy.bruhat_leq(y, x):
-            raise ValueError("sign_compatibility needs x >= y")
-        d = sy.lengths[x] - sy.lengths[y]
+        d = self.system.pair_gap(x, y, "sign_compatibility")
         n = self._rt(x, y)
         bad = self._signs.get((n, d))
         if bad is None:

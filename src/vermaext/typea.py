@@ -47,9 +47,7 @@ def w_hat(system: CoxeterSystem, i: int, j: int) -> int:
 
 def penultimate_element(system: CoxeterSystem, i: int, j: int) -> PenultimateIndex:
     n = _require_type_a(system)
-    if not (1 <= i <= n - 1 and 1 <= j <= n - 1):
-        raise ValueError("indices must lie in 1..n-1")
-    hat = w_hat(system, i, j)
+    hat = w_hat(system, i, j)  # checks the indices
     pen = system.mult(w_hat(system, i, n - j), system.w0)
     q = min(n - 1 - i, n - 1 - j, i - 1, j - 1)
     return PenultimateIndex(n, i, j, hat, pen, q)
@@ -64,8 +62,7 @@ def bigrassmannian_chain(system: CoxeterSystem, i: int, j: int) -> list[int]:
     return [
         w
         for w in range(system.order)
-        if system.is_bigrassmannian(w)
-        and system.left_descents(w) == frozenset([li])
+        if system.left_descents(w) == frozenset([li])
         and system.right_descents(w) == frozenset([rj])
     ]
 
@@ -121,7 +118,6 @@ def predict_ext1(system: CoxeterSystem, w: int) -> list[PredictionRecord]:
     Records with expected=False are certified additional extensions; none may
     occur in S4, where everything is expected.
     """
-    _require_type_a(system)
     records = []
     for u in bm_set(system, w):
         (li,) = system.left_descents(u)

@@ -335,10 +335,11 @@ class TestBruhat:
                 for u in range(a3.order)
             )
 
-    @pytest.mark.parametrize("label", ["G2", "B2", "A3", "B3"])
+    @pytest.mark.parametrize("label", ["G2", "B2", "A3", "B3", "D4"])
     def test_matches_subword_property(self, label):
         # x <= y iff x is the product of a subword of a reduced word of y
         sy = build_system(label)
+        belows = []
         for y in range(sy.order):
             below = {0}
             for j in sy.canonical_words[y]:
@@ -346,6 +347,14 @@ class TestBruhat:
             for x in range(sy.order):
                 assert sy.bruhat_leq(x, y) == (x in below), (x, y)
             assert sy.bruhat_downset(y) == sorted(below)
+            belows.append(below)
+        # the interval [y, x] read off two rows is the downset of x filtered
+        # by z >= y; it is [] when y is not <= x
+        for x in range(sy.order):
+            for y in range(sy.order):
+                want = [z for z in sy.bruhat_downset(x) if y in belows[z]]
+                assert sy.bruhat_interval(y, x) == want, (x, y)
+                assert want or y not in belows[x]
 
     @pytest.mark.parametrize("label,pairs", [("B4", 40_249), ("F4", 396_809)])
     def test_comparable_pair_counts(self, label, pairs):

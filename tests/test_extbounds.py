@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,42 @@ def kl3(a3):
 @pytest.fixture(scope="module")
 def rt3(a3):
     return RTable(a3)
+
+
+def whole_group_bound(kl, x, y):
+    """kl_bound_poly summed over every z of the group."""
+    sy = kl.system
+    yw0 = sy.mult(y, sy.w0)
+    terms = []
+    for z in range(sy.order):
+        pu, pv = kl.kl_poly(yw0, sy.mult(z, sy.w0)), kl.kl_poly(x, z)
+        terms += [((a, b), ca * cb) for a, ca in pu.items() for b, cb in pv.items()]
+    return BiPoly(terms)
+
+
+def whole_group_refined(kl, x, y, a, b):
+    """refined_bound with its witnesses w >= y taken from the whole group."""
+    sy = kl.system
+    xw0 = sy.mult(x, sy.w0)
+    best = max((kl.kl_poly(xw0, sy.mult(w, sy.w0)).coeff(a - b) for w in range(sy.order)
+                if sy.lengths[w] == sy.lengths[y] + a and sy.bruhat_leq(y, w)), default=0)
+    return max(whole_group_bound(kl, y, x).coeff(a - b, a) - best, 0)
+
+
+@pytest.mark.parametrize("name", ["triangle_region", "refined_bound", "expected_dims",
+                                  "r_determined", "r_coeff_list", "sign_compatibility"])
+def test_incomparable_pair_message(name, a3, kl3, rt3):
+    calls = {
+        "triangle_region": lambda: triangle_region(a3, 0, a3.w0),
+        "refined_bound": lambda: refined_bound(kl3, 0, a3.w0, 1, 0),
+        "expected_dims": lambda: expected_dims(rt3, 0, a3.w0),
+        "r_determined": lambda: r_determined(a3, 0, a3.w0, kl=kl3,
+                                             partition=equiv_classes(a3)),
+        "r_coeff_list": lambda: rt3.r_coeff_list(0, a3.w0),
+        "sign_compatibility": lambda: rt3.sign_compatibility(0, a3.w0),
+    }
+    with pytest.raises(ValueError, match="^%s needs x >= y$" % name):
+        calls[name]()
 
 
 class TestTriangleRegion:
@@ -123,6 +162,26 @@ class TestKLBound:
                 )
                 assert lhs == conj
 
+    @pytest.mark.parametrize("label,sample", [("A3", None), ("B3", None), ("D4", 400),
+                                              ("B4", 400)])
+    def test_matches_whole_group_sum(self, label, sample):
+        # every ordered pair, so x not <= y gives 0 too, or a seeded sample
+        sy = build_system(label)
+        kl = KLTable(sy)
+        pairs = list(itertools.product(range(sy.order), repeat=2))
+        if sample:
+            pairs = random.Random(label).sample(pairs, sample)
+        for x, y in pairs:
+            assert kl_bound_poly(kl, x, y) == whole_group_bound(kl, x, y), (x, y)
+
+    def test_builds_only_interval_rows(self):
+        # [e, s1] in F4 needs the KL rows of e, s1, s1 w0 and w0 and what
+        # their induction reads, not all 1152
+        f4 = build_system("F4")
+        kl = KLTable(f4)
+        kl_bound_poly(kl, 0, f4.element("s1"))
+        assert len(kl._basis) < f4.order
+
 
 class TestHomGrid:
     def test_a3_figure(self, a3, kl3):
@@ -177,12 +236,15 @@ class TestRefinedBound:
         assert val == 2
 
     def test_never_negative(self, a3, kl3):
+        # and equal to the bound with witnesses from the whole group
         for x, y in a3.comparable_pairs():
             region = triangle_region(a3, x, y)
             for p in region.points:
                 if p.expected:
                     continue
-                assert refined_bound(kl3, x, y, p.a, p.b) >= 0
+                got = refined_bound(kl3, x, y, p.a, p.b)
+                assert got >= 0
+                assert got == whole_group_refined(kl3, x, y, p.a, p.b)
 
 
 class TestExpectedDims:

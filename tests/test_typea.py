@@ -62,9 +62,9 @@ class TestPenultimate:
         assert pen.q == 2
 
     def test_range_check(self, s4):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^indices must lie in 1\.\.n-1$"):
             penultimate_element(s4, 0, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^indices must lie in 1\.\.n-1$"):
             penultimate_element(s4, 1, 4)
 
 
@@ -138,8 +138,9 @@ class TestBMSet:
 
     def test_type_restriction(self):
         b3 = build_system("B3")
-        with pytest.raises(ValueError):
-            bm_set(b3, 0)
+        for call in (bm_set, predict_ext1):
+            with pytest.raises(ValueError, match="^type A only; got B3$"):
+                call(b3, 0)
 
 
 class TestPredictor:
