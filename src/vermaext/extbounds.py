@@ -138,19 +138,25 @@ def refined_bound(kl: KLTable, x: int, y: int, a: int, b: int) -> int:
     differential; w runs over [y, x], as p_{x w0, w w0} = 0 unless w <= x.
     Expected-edge cells are out of scope (guard below); the
     subtracted maximum over an empty witness set is zero.  Clamped at 0.
+
+    One pass over [y, x] reads only the cell: its hom-grid value is the sum
+    over z of [u^(a-b)] p_{x w0, z w0} * [v^a] p_{y,z}, as in hom_grid, and
+    each z of length l(y) + a is a witness.
     """
     sy = kl.system
     d = sy.pair_gap(x, y, "refined_bound")
     if 2 * a - b == d:
         raise ValueError("refined_bound only applies off the expected edge")
-    total = hom_grid(kl, y, x).value(a, b)
     w0 = sy.w0
     xw0 = sy.mult(x, w0)
-    best = 0
-    ly = sy.lengths[y]
-    for w in sy.bruhat_interval(y, x):
-        if sy.lengths[w] == ly + a:
-            best = max(best, kl.kl_poly(xw0, sy.mult(w, w0)).coeff(a - b))
+    total = best = 0
+    lw = sy.lengths[y] + a
+    for z in sy.bruhat_interval(y, x):
+        c = kl.kl_poly(xw0, sy.mult(z, w0)).coeff(a - b)
+        if c:
+            total += c * kl.kl_poly(y, z).coeff(a)
+            if sy.lengths[z] == lw:
+                best = max(best, c)
     return max(total - best, 0)
 
 

@@ -98,8 +98,10 @@ class KLTable:
     >> B is exact because p_{x,u} lies in vZ[v] for x < u.  Values stay
     nonnegative (KL positivity; a partial mu-subtraction is at least the
     final value), and max_x p_{x,y}(1) at most doubles per step, so every
-    coefficient is at most 2^l(w0) < 2^B.  HeckeElement and mult_by_gen stay
-    on LaurentPoly on purpose, as the independent route to b_y.
+    coefficient is at most 2^l(w0) < 2^B.  A finished row stores its values
+    through PackedPolys.intern, so the table holds one int object per
+    distinct value.  HeckeElement and mult_by_gen stay on LaurentPoly on
+    purpose, as the independent route to b_y.
     """
 
     def __init__(self, system: CoxeterSystem):
@@ -121,19 +123,20 @@ class KLTable:
         right, lengths = sy.right[s], sy.lengths
         bu = self._row(right[y])  # b_u for u = ys
 
-        # b_u * b_s  =  b_u * h_s + v * b_u
+        # b_u * b_s  =  b_u * h_s + v * b_u, one pair {x, xs} with xs > x at a
+        # time: it gets v p_{x,u} + p_{xs,u} at x and p_{x,u} + v^-1 p_{xs,u}
+        # at xs.  A term x of b_u with xs < x is met from xs, since xs < x <= u
+        # puts xs in [e, u], the support of b_u.
         prod = {}
         for x, p in bu.items():
             xs = right[x]
-            q = prod.get(xs)
-            prod[xs] = p if q is None else q + p
             if lengths[xs] > lengths[x]:
-                extra = p << bits
-            else:
-                assert not p & mask, "p_{x,u} for x < u lies in vZ[v]"
-                extra = p >> bits
-            q = prod.get(x)
-            prod[x] = extra if q is None else q + extra
+                q = bu.get(xs)
+                if q is None:
+                    prod[x], prod[xs] = p << bits, p
+                else:
+                    assert not q & mask, "p_{x,u} for x < u lies in vZ[v]"
+                    prod[x], prod[xs] = (p << bits) + q, p + (q >> bits)
 
         # subtract mu(z, u) * b_z over z < u with zs < z (mu(u, u) = 0); every partial
         # difference is at least the nonnegative final value, so no digit borrows
@@ -147,6 +150,9 @@ class KLTable:
                     else:
                         prod.pop(x, None)
 
+        intern = self._values.intern
+        for x, p in prod.items():
+            prod[x] = intern(p, p)
         self._basis[y] = prod
         return prod
 

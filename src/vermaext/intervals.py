@@ -33,10 +33,11 @@ class EquivPartition:
 
     keys holds every comparable pair as x * order + y, sorted, read off the
     Bruhat rows; position i in keys is pair i.  Each simultaneous descent
-    sends a pair to one of smaller key, found by searchsorted.  The
-    components come from hooking each tree's root to the least root it
-    meets along an edge, then pointer jumping, so the root of a component
-    is its least pair.  cids[i] is the class id of pair i, the rank of its
+    sends a pair to one of smaller key, found by searchsorted; the edges
+    are kept as int32 positions, so a group of 2^31 pairs or more raises
+    ValueError.  The components come from hooking each tree's root to the
+    least root it meets along an edge, then pointer jumping, so the root of
+    a component is its least pair.  cids[i] is the class id of pair i, the rank of its
     class's least pair, and least[c] is the position of class c's least
     pair.  pairs and classes are tuple views built on first use; members
     are in pair order.
@@ -48,14 +49,17 @@ class EquivPartition:
         rows = np.frombuffer(b"".join(map(system._downset_row, range(order))), np.uint8)
         bits = np.unpackbits(rows.reshape(order, -1), axis=1, count=order, bitorder="little")
         self.keys = keys = np.flatnonzero(bits)
+        if len(keys) >= 2**31:
+            raise ValueError("%d comparable pairs: too many for int32 edge positions"
+                             % len(keys))
         x, y = np.divmod(keys, order)
         lengths = np.array(system.lengths)
         parent = np.arange(len(keys))
         src, dst = [], []
         for move in (*system._perms, *np.array(system.left)):
             shorter = lengths[move] < lengths
-            i = np.flatnonzero(shorter[x] & shorter[y])
-            j = np.searchsorted(keys, move[x[i]] * order + move[y[i]])
+            i = np.flatnonzero(shorter[x] & shorter[y]).astype(np.int32)
+            j = np.searchsorted(keys, move[x[i]] * order + move[y[i]]).astype(np.int32)
             # i holds each pair once, so one move's edges need no .at
             parent[i] = np.minimum(parent[i], j)
             src.append(i)

@@ -211,12 +211,18 @@ class PackedPolys:
     t, as long as every coefficient stays in range.  ``decode`` maps the
     digits [c_0, c_1, ...] to the LaurentPoly a value stands for; each
     distinct packed value is decoded once and the LaurentPoly interned.
+
+    A table stores its packed values through ``intern``, so it holds one int
+    object per distinct value, however many entries share it: intern(n, n)
+    returns the first int equal to n that was interned.  It is the
+    setdefault of one dict, so interning costs no Python-level call.
     """
 
     def __init__(self, bits: int, decode):
         self.bits, self.mask = bits, (1 << bits) - 1
         self._decode = decode
         self._polys: dict[int, LaurentPoly] = {}
+        self.intern = {}.setdefault
 
     def poly(self, n: int) -> LaurentPoly:
         """The interned LaurentPoly of the packed value n >= 0."""

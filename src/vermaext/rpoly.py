@@ -43,7 +43,11 @@ class RTable:
     In t the recursion of r_poly only adds nonnegative values:
     R~_{x,y} = R~_{xs,ys} + t R~_{x,ys}.  It is l(w0) - l(y) steps deep and
     each step at most doubles R~(1), so every coefficient is at most
-    2^l(w0) < 2^B.  The memo is keyed by the int x * order + y.
+    2^l(w0) < 2^B.  The memo is one dict per y, {x: R~_{x,y}}, keyed by
+    the element ints that system.right already holds, so no key is made per
+    entry.  Each sum the recursion makes goes through PackedPolys.intern,
+    and a step without a sum passes on a stored value, so the memo holds
+    one int object per distinct value (436 on F4).
 
     No Bruhat test is made.  The recursion gives 0 exactly off the order,
     since R_{x,y} != 0 iff y <= x (Bjorner-Brenti, Ch. 5), so two necessary
@@ -60,9 +64,9 @@ class RTable:
     def __init__(self, system: CoxeterSystem):
         self.system = system
         # The tables _rt reads, bound here once: it runs once per memo entry.
-        self._order, self._lengths = system.order, system.lengths
+        self._lengths = system.lengths
         self._right, self._first_ascent = system.right, system.first_ascent
-        self._memo: dict[int, int] = {}
+        self._cols: dict[int, dict[int, int]] = {}
         self._values = PackedPolys(system.lengths[system.w0] + 1, _from_t)
         self._signs: dict[tuple[int, int], tuple[int, ...]] = {}
         self._at_one: dict[int, int] = {}
@@ -79,10 +83,13 @@ class RTable:
 
     def _rt(self, x: int, y: int) -> int:
         """R~_{x,y} packed; the recursion of r_poly read in t = v - v^-1."""
-        key = x * self._order + y
-        val = self._memo.get(key)
-        if val is not None:
-            return val
+        # The recursion below reaches only second indices longer than y, so
+        # it never adds the column of y: col stays the one to insert into.
+        col = self._cols.get(y)
+        if col is not None:
+            val = col.get(x)
+            if val is not None:
+                return val
         if x == y:
             return 1
         lengths = self._lengths
@@ -94,10 +101,13 @@ class RTable:
         s = self._first_ascent[y]  # l(y) < l(x) <= l(w0), so y has an ascent
         right = self._right[s]
         xs, ys = right[x], right[y]
-        val = self._rt(xs, ys)
+        val = self._rt(xs, ys)  # a stored value already, or 0 or 1
         if lengths[xs] < lengths[x]:
             val += self._rt(x, ys) << self._values.bits
-        self._memo[key] = val
+            val = self._values.intern(val, val)
+        if col is None:
+            col = self._cols[y] = {}
+        col[x] = val
         return val
 
     def r_poly_random_ascents(self, x: int, y: int, rng: random.Random) -> LaurentPoly:

@@ -235,16 +235,23 @@ class TestRefinedBound:
         val = refined_bound(kl, b3.w0, 0, 2, -1)
         assert val == 2
 
-    def test_never_negative(self, a3, kl3):
-        # and equal to the bound with witnesses from the whole group
-        for x, y in a3.comparable_pairs():
-            region = triangle_region(a3, x, y)
-            for p in region.points:
-                if p.expected:
-                    continue
-                got = refined_bound(kl3, x, y, p.a, p.b)
-                assert got >= 0
-                assert got == whole_group_refined(kl3, x, y, p.a, p.b)
+    def test_never_negative(self):
+        # and equal to the bound with its cell and witnesses read off sums
+        # over the whole group: on every comparable pair of A3 and B3, and on
+        # a seeded sample of D4
+        for label, sample in [("A3", None), ("B3", None), ("D4", 300)]:
+            sy = build_system(label)
+            kl = KLTable(sy)
+            pairs = sy.comparable_pairs()
+            if sample:
+                pairs = random.Random(label).sample(pairs, sample)
+            for x, y in pairs:
+                for p in triangle_region(sy, x, y).points:
+                    if p.expected:
+                        continue
+                    got = refined_bound(kl, x, y, p.a, p.b)
+                    assert got >= 0
+                    assert got == whole_group_refined(kl, x, y, p.a, p.b), (label, x, y, p)
 
 
 class TestExpectedDims:

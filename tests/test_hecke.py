@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from vermaext.coxeter import build_system
@@ -161,3 +163,20 @@ class TestInvariants:
     def test_kl_element_wrapper(self, a3, kl3):
         h = kl_element(kl3, a3.element("s1"))
         assert h.coeff(0) == lp({1: 1})
+
+
+class TestTableSize:
+    def test_b4_traced_bytes_per_entry(self):
+        # rows store interned values: one int object per distinct value
+        sy = build_system("B4")
+        tracemalloc.start()
+        try:
+            kl = KLTable(sy)
+            kl.fill_all()
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        values = [p for row in kl._basis.values() for p in row.values()]
+        # about 39 bytes per entry interned, 69 with a fresh int per entry
+        assert traced / len(values) < 55
+        assert len({id(p) for p in values}) == len(set(values))

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -297,3 +298,25 @@ class TestParabolicSingular:
             for x in sr.reps:
                 for y in sr.reps:
                     assert sr.poly(x, y).eval_at_one() == (1 if x == y else 0)
+
+
+class TestMemoSize:
+    """The memo is one dict per y keyed by the shared element ints, and it
+    holds one int object per distinct value."""
+
+    def test_b4_traced_bytes_per_pair(self):
+        sy = build_system("B4")
+        pairs = sy.comparable_pairs()
+        tracemalloc.start()
+        try:
+            rt = RTable(sy)
+            for x, y in pairs:
+                rt.r_poly(x, y)
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # per-y columns of interned values take about 41 bytes per pair; a
+        # key int x * order + y and a fresh int per entry take about 87
+        assert traced / len(pairs) < 60
+        values = [n for col in rt._cols.values() for n in col.values()]
+        assert len({id(n) for n in values}) == len(set(values))
