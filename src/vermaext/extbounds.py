@@ -72,10 +72,8 @@ def triangle_region(system: CoxeterSystem, x: int, y: int) -> TriangleRegion:
 class ExtGrid:
     """A bigraded grid of nonnegative integers attached to a (target, source) pair."""
 
-    system: CoxeterSystem
     target: int
     source: int
-    meaning: str
     cells: dict[tuple[int, int], int] = field(default_factory=dict)
     untrusted: bool = False
 
@@ -84,15 +82,6 @@ class ExtGrid:
 
     def nonzero(self) -> list[tuple[int, int, int]]:
         return sorted((a, b, v) for (a, b), v in self.cells.items() if v)
-
-    def __repr__(self):
-        sy = self.system
-        return "ExtGrid(%s: %s -> %s, %d cells)" % (
-            self.meaning,
-            sy.word_name(self.source),
-            sy.word_name(self.target),
-            len(self.cells),
-        )
 
 
 def kl_bound_poly(kl: KLTable, x_target: int, y_source: int) -> BiPoly:
@@ -128,7 +117,7 @@ def hom_grid(kl: KLTable, target: int, source: int) -> ExtGrid:
     """
     bound = kl_bound_poly(kl, target, source)
     cells = {(a, a - k): c for (k, a), c in bound.items()}
-    return ExtGrid(kl.system, target, source, "HomToTiltingComplex", cells)
+    return ExtGrid(target, source, cells)
 
 
 def refined_bound(kl: KLTable, x: int, y: int, a: int, b: int) -> int:
@@ -179,7 +168,7 @@ def expected_dims(rt: RTable, x: int, y: int) -> ExtGrid:
             val = -val
         if val:
             cells[(a, 2 * a - d)] = val
-    grid = ExtGrid(sy, y, x, "ExpectedDims", cells, untrusted=bool(violations))
+    grid = ExtGrid(y, x, cells, untrusted=bool(violations))
     if not violations:
         assert all(v >= 0 for v in cells.values())
     return grid

@@ -7,7 +7,8 @@ l(x) - l(y), so the sign rule, the small-gap clause and boolean membership
 in the class are class invariants.  The classes are the connected
 components of these moves, found on int arrays of pair keys.  Equivalent
 pairs need not have isomorphic Bruhat intervals, which poset_isomorphic
-decides by brute force.
+decides by matching elements rank by rank, each to one with the same lower
+covers.
 """
 
 from __future__ import annotations
@@ -162,24 +163,24 @@ class IntervalTooLargeError(ValueError):
 
 
 def _interval_poset(system: CoxeterSystem, y: int, x: int):
-    """Elements, rank function and cover lists of the Bruhat interval [y, x]."""
+    """Ranks, up-degrees and lower-cover sets of the Bruhat interval [y, x],
+    its elements listed in index order, so ranks never decrease."""
     elems = system.bruhat_interval(y, x)
     if len(elems) > POSET_SIZE_CAP:
         raise IntervalTooLargeError(
             "interval [%s, %s] has %d elements, cap is %d"
             % (system.word_name(y), system.word_name(x), len(elems), POSET_SIZE_CAP)
         )
-    pos = {z: i for i, z in enumerate(elems)}
     base = system.lengths[y]
     ranks = [system.lengths[z] - base for z in elems]
-    n = len(elems)
-    up = [[] for _ in range(n)]
-    down = [[] for _ in range(n)]
-    for i, zi in enumerate(elems):
-        for j, zj in enumerate(elems):
-            if ranks[j] == ranks[i] + 1 and system.bruhat_leq(zi, zj):
-                up[i].append(j)
-                down[j].append(i)
+    up = [0] * len(elems)
+    down = []
+    for j, zj in enumerate(elems):
+        covers = frozenset(i for i, zi in enumerate(elems)
+                           if ranks[i] == ranks[j] - 1 and system.bruhat_leq(zi, zj))
+        for i in covers:
+            up[i] += 1
+        down.append(covers)
     return ranks, up, down
 
 
@@ -187,59 +188,33 @@ def poset_isomorphic(
     system1: CoxeterSystem, interval1: tuple[int, int],
     system2: CoxeterSystem, interval2: tuple[int, int],
 ) -> bool:
-    """Graded-poset isomorphism of two Bruhat intervals, by backtracking.
+    """Graded-poset isomorphism of two Bruhat intervals (y, x), y <= x.
 
-    Intervals are given as (y, x) with y <= x.  Degree profiles per rank act
-    as a cheap filter before the level-by-level search.
+    Equal rank lists and (rank, up, down) degree multisets are a cheap
+    filter.  Then element i is matched, in index order, to an unused one of
+    the same rank and up-degree whose lower covers are the images of i's.
+    Index order is length order, so i's lower covers are matched first, and
+    a complete matching preserves covers both ways.
     """
-    y1, x1 = interval1
-    y2, x2 = interval2
-    r1, up1, down1 = _interval_poset(system1, y1, x1)
-    r2, up2, down2 = _interval_poset(system2, y2, x2)
-    if len(r1) != len(r2) or max(r1, default=0) != max(r2, default=0):
+    r1, up1, down1 = _interval_poset(system1, *interval1)
+    r2, up2, down2 = _interval_poset(system2, *interval2)
+    degrees1, degrees2 = zip(r1, up1, map(len, down1)), zip(r2, up2, map(len, down2))
+    if r1 != r2 or sorted(degrees1) != sorted(degrees2):
         return False
+    image = [0] * len(r1)
+    used = [False] * len(r2)
 
-    height = max(r1, default=0)
-    lev1 = [[i for i, r in enumerate(r1) if r == k] for k in range(height + 1)]
-    lev2 = [[i for i, r in enumerate(r2) if r == k] for k in range(height + 1)]
-    if any(len(a) != len(b) for a, b in zip(lev1, lev2)):
-        return False
-
-    def profile(i, up, down):
-        return (len(up[i]), len(down[i]))
-
-    for k in range(height + 1):
-        p1 = sorted(profile(i, up1, down1) for i in lev1[k])
-        p2 = sorted(profile(i, up2, down2) for i in lev2[k])
-        if p1 != p2:
-            return False
-
-    mapping = {}
-
-    def extend(level: int) -> bool:
-        if level > height:
+    def extend(i: int) -> bool:
+        if i == len(r1):
             return True
-        a_side = lev1[level]
-        b_side = lev2[level]
-
-        def assign(idx: int) -> bool:
-            if idx == len(a_side):
-                return extend(level + 1)
-            i = a_side[idx]
-            want_down = sorted(mapping[d] for d in down1[i])
-            for j in b_side:
-                if j in mapping.values():
-                    continue
-                if profile(i, up1, down1) != profile(j, up2, down2):
-                    continue
-                if sorted(down2[j]) != want_down:
-                    continue
-                mapping[i] = j
-                if assign(idx + 1):
-                    return True
-                del mapping[i]
-            return False
-
-        return assign(0)
+        want = {image[d] for d in down1[i]}
+        for j, taken in enumerate(used):
+            if taken or r2[j] != r1[i] or up2[j] != up1[i] or down2[j] != want:
+                continue
+            image[i], used[j] = j, True
+            if extend(i + 1):
+                return True
+            used[j] = False
+        return False
 
     return extend(0)

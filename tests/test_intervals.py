@@ -1,5 +1,6 @@
 import pytest
 
+from vermaext import intervals
 from vermaext.coxeter import CoxeterSystem, build_system
 from vermaext.intervals import (
     IntervalTooLargeError,
@@ -239,3 +240,35 @@ class TestPosetIso:
         i1 = (0, a3.element("r*t*s"))  # ranks 1,3,3,1
         chain = (0, a3.element("s1*s2*s1"))
         assert not poset_isomorphic(a3, i1, a3, chain)
+
+    @pytest.mark.parametrize("label", ["A3", "B3"])
+    def test_automorphic_copies(self, label):
+        # inversion and conjugation by w0 are Bruhat automorphisms; the copies
+        # list their elements in another index order, so the match found is
+        # not the identity
+        sy = build_system(label)
+        inv = sy.inverse
+        for x, y in sy.comparable_pairs():
+            assert poset_isomorphic(sy, (y, x), sy, (inv[y], inv[x]))
+            assert poset_isomorphic(sy, (y, x), sy, (sy.conj_w0(y), sy.conj_w0(x)))
+
+    def test_no_match_past_the_filters(self, a3, monkeypatch):
+        # bottom 0, atoms 1-4, coatoms 5-8 over the given atoms, top 9; the
+        # atom-coatom covers form one 8-cycle or two 4-cycles, which have
+        # the same (rank, up, down) degrees
+        def graded(coatom_covers):
+            down = [frozenset(), *[frozenset({0})] * 4,
+                    *map(frozenset, coatom_covers), frozenset(range(5, 9))]
+            up = [sum(i in d for d in down) for i in range(10)]
+            return [0, 1, 1, 1, 1, 2, 2, 2, 2, 3], up, down
+
+        posets = {
+            "cycle": graded([{1, 2}, {2, 3}, {3, 4}, {4, 1}]),
+            "relabelled cycle": graded([{3, 1}, {2, 4}, {1, 4}, {3, 2}]),
+            "two squares": graded([{1, 2}, {3, 4}, {1, 2}, {3, 4}]),
+        }
+        degrees = {name: sorted(zip(r, u, map(len, d))) for name, (r, u, d) in posets.items()}
+        assert degrees["cycle"] == degrees["two squares"]
+        monkeypatch.setattr(intervals, "_interval_poset", lambda system, y, x: posets[x])
+        assert not poset_isomorphic(a3, (0, "cycle"), a3, (0, "two squares"))
+        assert poset_isomorphic(a3, (0, "cycle"), a3, (0, "relabelled cycle"))
