@@ -4,9 +4,10 @@ A group is built once, one length stratum at a time: the integer weights of
 a stratum are one numpy array, the next stratum is their reflections along
 ascents with repeats dropped, and weights are told apart by int64 keys.  Then
 it is frozen: every element is a dense index, multiplication by a generator
-is a table lookup, and each element knows its ShortLex-minimal reduced word.
-Everything downstream (Hecke algebra, R-polynomials, Bruhat scans) works with
-these indices.
+is a table lookup, and each element keeps one byte for its ShortLex-minimal
+reduced word: the last letter s, since the rest is the word of w s, so a word
+is read off on request.  Everything downstream (Hecke algebra, R-polynomials,
+Bruhat scans) works with these indices.
 
 Supported types: A_n (n>=1), B_n/C_n (n>=2), D_n (n>=4), E6/E7/E8, F4, G2.
 Type B3 uses the generator names s0, s1, s2 with the double bond between
@@ -16,6 +17,7 @@ s0 and s1; all other types use s1..sn in Bourbaki numbering.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from functools import cached_property
 from itertools import repeat
 from math import factorial
@@ -128,6 +130,11 @@ def _pack_keys(lam):
     return lam @ _POWERS[:rank]
 
 
+# dominance_keys packs its matrices in batches of at least this many rows:
+# few numpy calls on a small group, little memory on a large one
+_PACK_ROWS = 4096
+
+
 def _pack_fields(fields):
     """One int per row of the nonnegative int array fields, one byte per
     entry, the first entry lowest; ValueError if an entry reaches 128, since
@@ -176,7 +183,8 @@ class CoxeterSystem:
         In row-major order the ascents are ordered by (parent position,
         generator), which is the lexicographic order of the words
         word(p) + (j,), so the first candidate reaching an element spells
-        its ShortLex-minimal word.
+        its ShortLex-minimal word.  Only the last letter j of that word is
+        kept: the rest is the word of the parent p = w s_j (see word).
         """
         rank, cartan = self.rank, self.cartan
         # Column j*rank + i of `reflect` gives coordinate i of s_j lam, which
@@ -185,13 +193,18 @@ class CoxeterSystem:
                              for j in range(rank) for i in range(rank)]
                             for k in range(rank)], dtype=np.int64)
         lam = np.array([[1] * rank], dtype=np.int64)  # rho, the weight of e
-        # One code per element, parent * rank + last generator; e gets 0.
-        strata, codes = [lam], [np.zeros(1, np.int64)]
-        # Every ascent (p, j) as p * rank + j, and the element p s_j it reaches
+        sizes, first_ascent = [1], []
+        # For each element past e, the ascent p * rank + j that made it
+        codes = []
+        # The ascents (p, j) of each stratum as p * rank + j, and the
+        # elements p s_j they reach
         moves, targets = [], []
         start = 0  # index of the first element of stratum lam
         while True:
-            ascent = (lam > 0).ravel()
+            ascent = lam > 0
+            # the lowest s with ws > w; w0, with none, is mended below
+            first_ascent.append(ascent.argmax(1))
+            ascent = ascent.ravel()
             cand = (lam @ reflect).reshape(-1, rank)[ascent]
             if not len(cand):
                 break
@@ -212,50 +225,48 @@ class CoxeterSystem:
             moves.append(flat)
             targets.append(start + reached)
             lam = cand[first]
-            strata.append(lam)
-        parent, gen = np.divmod(np.concatenate(codes), rank)
-        weights = np.concatenate(strata)
-        order = len(weights)
+            sizes.append(len(lam))
+        order = start + len(lam)
 
         # An ascent (p, j) reaching w is the descent (w, j) reaching p, and
         # every descent is one of these.
         src, s = np.divmod(np.concatenate(moves), rank)
+        del moves
         dst = np.concatenate(targets)
+        del targets
         right = np.empty((rank, order), dtype=np.intp)
         right[s, src] = dst
         right[s, dst] = src
-
-        words = [()]
-        for p, j in zip(parent.tolist()[1:], gen.tolist()[1:]):
-            words.append(words[p] + (j,))
+        del src, s, dst
+        # e has no last letter: it gets rank, like w0's first ascent
+        last = np.concatenate(([rank], np.concatenate(codes) % rank)).astype(np.uint8)
+        del codes
 
         # Replay every word from the right, all elements at once, one letter
-        # per step.  A word that has run out sits at e, whose generator is
-        # set to the padding row of `step`, which fixes everything.
-        gen[0] = rank
+        # per step.  A word that has run out sits at e, whose letter rank
+        # picks the padding row of `step`, which fixes everything.
         step = np.concatenate((right, np.arange(order)[None]))
+        parent = step[last, np.arange(order)]
         inverse = np.zeros(order, np.intp)
         cur = np.arange(order)
-        for _ in strata[1:]:
-            inverse = step[gen[cur], inverse]
+        for _ in sizes[1:]:
+            inverse = step[last[cur], inverse]
             cur = parent[cur]
-        left = inverse[right[:, inverse]]
-
-        # The lowest s with ws > w (lam[s] > 0), rank for w0; one byte each.
-        # It is rank minus the largest rank - s over the ascents s.
-        first_ascent = rank - ((weights > 0) * np.arange(rank, 0, -1)).max(1)
+        del step, parent, cur
 
         self.order = order
-        self.canonical_words = words
-        self.lengths = [length for length, lam in enumerate(strata) for _ in range(len(lam))]
+        self.lengths = [length for length, size in enumerate(sizes) for _ in range(size)]
         self.e = 0
         self.w0 = order - 1
-        self.first_ascent = first_ascent.astype(np.uint8).tobytes()
+        first_ascent = np.concatenate(first_ascent).astype(np.uint8)
+        first_ascent[-1] = rank
+        self.first_ascent = first_ascent.tobytes()
+        self.last_letter = last.tobytes()
         # One int object per element, shared by every table: tolist() on
         # an int array would make a new one for every entry.
         elements = np.arange(order).astype(object)
-        self.right = elements[right].tolist()
-        self.left = elements[left].tolist()
+        self.right = [elements[row].tolist() for row in right]
+        self.left = [elements[inverse[row[inverse]]].tolist() for row in right]
         self.inverse = elements[inverse].tolist()
         return right
 
@@ -273,24 +284,45 @@ class CoxeterSystem:
         byte, which is ((keys[x] | high) - keys[y]) & high == high, where
         high sets the top bit of every byte, so no borrow crosses a byte.
 
-        The keys are built one length stratum at a time.  Let C(w) be the
-        rank x rank matrix of the coefficients above.  With s a right descent
-        of w and u = ws, only column s changes:
+        The keys are built one length stratum at a time, holding only the
+        matrices of the stratum before and those not yet packed, which are
+        packed as soon as they reach _PACK_ROWS rows.  Let C(w) be the
+        rank x rank matrix of the coefficients above.  With s the last letter
+        of w and u = ws, which lies in the stratum before, only column s
+        changes:
         C(w)[i, s] = C(u)[i, s] + delta_is - sum_k C(u)[i, k] cartan[s][k].
         """
-        rank, right = self.rank, self._perms
-        lengths = np.array(self.lengths, dtype=np.int16)
-        gen = (lengths[right] < lengths).argmax(0)  # the lowest right descent; 0 for e
-        parent = right[gen, np.arange(self.order)]
-        cartan_col = np.array(self.cartan, dtype=np.int16)[gen][:, :, None]
-        column = np.eye(rank, dtype=np.int16)[gen]
-        fields = np.zeros((self.order, rank, rank), dtype=np.int16)
-        bounds = np.bincount(lengths).cumsum().tolist()
-        for lo, hi in zip(bounds, bounds[1:]):
-            c = fields[parent[lo:hi]]
-            step = column[lo:hi] - (c @ cartan_col[lo:hi])[:, :, 0]
-            fields[lo:hi] = c + step[:, :, None] * column[lo:hi, None]
-        return _pack_fields(fields), int.from_bytes(b"\x80" * rank * rank, "little")
+        rank, lengths = self.rank, self.lengths
+        cartan = np.array(self.cartan, dtype=np.int16)[:, :, None]
+        eye = np.eye(rank, dtype=np.int16)
+        last = np.frombuffer(self.last_letter, np.uint8)
+        fields = np.zeros((1, rank, rank), dtype=np.int16)  # those of e
+        keys, unpacked, start = [], [fields], 0
+        bounds = [bisect_left(lengths, k) for k in range(lengths[-1] + 2)]
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            s = last[lo:hi]
+            c = fields[self._perms[s, np.arange(lo, hi)] - start]
+            column = eye[s]
+            step = column - (c @ cartan[s])[:, :, 0]
+            fields = c + step[:, :, None] * column[:, None]
+            unpacked.append(fields)
+            start = lo
+            if hi - len(keys) >= _PACK_ROWS or hi == self.order:
+                keys += _pack_fields(np.concatenate(unpacked))
+                unpacked = []
+        return keys, int.from_bytes(b"\x80" * rank * rank, "little")
+
+    @cached_property
+    def _support_masks(self) -> bytes:
+        """One byte per element: bit j is set iff s_j occurs in a reduced
+        word of w.  One pass in index order, since the support of w is that
+        of ws together with its last letter s."""
+        masks = bytearray(self.order)
+        right, last = self.right, self.last_letter
+        for w in range(1, self.order):
+            s = last[w]
+            masks[w] = masks[right[s][w]] | 1 << s
+        return bytes(masks)
 
     @cached_property
     def w0_times(self) -> list[int]:
@@ -299,17 +331,37 @@ class CoxeterSystem:
         w0 is an involution, so the letters may go in word order."""
         left = np.array(self.left)
         w0w = np.arange(self.order)
-        for j in self.canonical_words[self.w0]:
+        for j in self.word(self.w0):
             w0w = left[j][w0w]
         return np.arange(self.order).astype(object)[w0w].tolist()
 
+    @cached_property
+    def canonical_words(self) -> list[tuple[int, ...]]:
+        """Every element's ShortLex-minimal reduced word, in index order;
+        built on first use, one tuple per element.  The library reads words
+        through word() instead."""
+        return [self.word(w) for w in range(self.order)]
+
     # -- basic group operations ----------------------------------------------
 
+    def word(self, w: int) -> tuple[int, ...]:
+        """The ShortLex-minimal reduced word of w, read off its last letters
+        in O(l(w)): the word of w is word(w s) + (s,) for its last letter s."""
+        right, last, letters = self.right, self.last_letter, []
+        for _ in range(self.lengths[w]):
+            s = last[w]
+            letters.append(s)
+            w = right[s][w]
+        return tuple(reversed(letters))
+
     def mult(self, a: int, b: int) -> int:
-        """Product a*b via the canonical word of b."""
-        x = a
-        for j in self.canonical_words[b]:
-            x = self.right[j][x]
+        """Product a*b = s_i1 (... (s_ik b)) for the word (i1, ..., ik) of a,
+        walked from its last letter."""
+        right, left, last, x = self.right, self.left, self.last_letter, b
+        for _ in range(self.lengths[a]):
+            s = last[a]
+            x = left[s][x]
+            a = right[s][a]
         return x
 
     def conj_w0(self, w: int) -> int:
@@ -326,11 +378,12 @@ class CoxeterSystem:
 
     def support(self, w: int) -> frozenset[int]:
         """Generators occurring in a reduced word of w (word independent)."""
-        return frozenset(self.canonical_words[w])
+        return frozenset(self.word(w))
 
     def is_boolean(self, w: int) -> bool:
-        """True iff some (hence the canonical) reduced word is multiplicity-free."""
-        return self.lengths[w] == len(self.support(w))
+        """True iff some (hence the canonical) reduced word is multiplicity-free,
+        i.e. l(w) equals the size of the support."""
+        return self.lengths[w] == self._support_masks[w].bit_count()
 
     def is_bigrassmannian(self, w: int) -> bool:
         if w == self.e:
@@ -408,7 +461,7 @@ class CoxeterSystem:
         Each name is spelled once, on first request."""
         name = self._names.get(w)
         if name is None:
-            name = self._names[w] = "*".join(self.gen_names[j] for j in self.canonical_words[w])
+            name = self._names[w] = "*".join(map(self.gen_names.__getitem__, self.word(w)))
         return name
 
     def gen_index(self, name: str) -> int:
@@ -457,7 +510,9 @@ class ParabolicSubset:
 
         # w lies in W_J iff its reduced words use only generators in J, and
         # index order is (length, index) order
-        self.subgroup = tuple(w for w in range(system.order) if system.support(w) <= self.J)
+        outside = 255 - sum(1 << j for j in self.J)
+        self.subgroup = tuple(w for w, mask in enumerate(system._support_masks)
+                              if not mask & outside)
         self.longest = self.subgroup[-1]
 
         self.coset_reps_right = tuple(

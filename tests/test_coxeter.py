@@ -1,4 +1,6 @@
 import itertools
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +13,10 @@ from vermaext.coxeter import (
     build_system,
     expected_order,
 )
+from vermaext.rpoly import RTable
 
-TABLES = ("canonical_words", "lengths", "first_ascent", "right", "left", "inverse")
+TABLES = ("canonical_words", "last_letter", "lengths", "first_ascent", "right", "left",
+          "inverse")
 # The types whose build is checked against the reference search below
 REFERENCE_TYPES = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5",
                    "C3", "D4", "D5", "F4", "G2"]
@@ -64,6 +68,8 @@ def reference_tables(system):
     left = [[inverse[rj[inverse[w]]] for w in range(order)] for rj in right]
     return {
         "canonical_words": words,
+        # e has no last letter, so its byte is not compared
+        "last_letter": bytes(word[-1] for word in words[1:]),
         "lengths": [len(w) for w in words],
         "first_ascent": bytes(next((j for j in range(rank) if lam[j] > 0), rank)
                               for lam in states),
@@ -77,7 +83,10 @@ def assert_matches_reference(system):
     want = reference_tables(system)
     assert system.order == len(want["lengths"])
     for name in TABLES:
-        assert getattr(system, name) == want[name], name
+        got = getattr(system, name)
+        if name == "last_letter":
+            got = got[1:]
+        assert got == want[name], name
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +271,58 @@ class TestEnumeration:
                 _pack_keys(np.array(lam))
         with pytest.raises(ValueError):
             _pack_keys(np.zeros((1, 10), dtype=np.int64))
+
+
+class TestWords:
+    @pytest.mark.parametrize("label", ["A3", "B3"])
+    def test_mult_concatenates_words_on_every_pair(self, label):
+        sy = build_system(label)
+        words = [sy.word(w) for w in range(sy.order)]
+        for a in range(sy.order):
+            for b in range(sy.order):
+                assert sy.mult(a, b) == sy.from_word(words[a] + words[b]), (a, b)
+
+    def test_mult_concatenates_words_on_e6(self):
+        sy = build_system("E6")
+        rng = random.Random(31)
+        for _ in range(2000):
+            a, b = rng.randrange(sy.order), rng.randrange(sy.order)
+            assert sy.mult(a, b) == sy.from_word(sy.word(a) + sy.word(b)), (a, b)
+
+    @pytest.mark.parametrize("label", ["G2", "A3", "B3", "D4", "F4"])
+    def test_support_is_the_set_of_letters(self, label):
+        # is_boolean reads the support masks, support the word
+        sy = build_system(label)
+        assert sy.last_letter[0] == sy.rank
+        for w in range(sy.order):
+            assert sy.support(w) == frozenset(sy.word(w))
+            assert sy.is_boolean(w) == (len(sy.support(w)) == sy.lengths[w])
+
+    def test_no_library_path_builds_every_word(self):
+        sy = build_system("E6")
+        for w in range(sy.order):
+            sy.word_name(w)
+        w = sy.element("s1*s3*s4*s2")
+        assert sy.mult(w, sy.inverse[w]) == 0
+        assert sy.support(w) == frozenset([0, 1, 2, 3])
+        assert sy.is_boolean(w)
+        assert sy.w0_times[0] == sy.w0
+        assert len(sy.parabolic((0, 1)).subgroup) == 4
+        sy.dominance_keys
+        assert RTable(sy).r_poly(sy.w0, 0).coeff(sy.lengths[sy.w0]) == 1
+        assert "canonical_words" not in vars(sy)
+
+    def test_e6_build_and_dominance_keys_traced_peak(self):
+        # one byte per element for the words, and key matrices packed a few
+        # strata at a time, peak at about 15 MB; a word tuple per element
+        # and whole-group key matrices took about 42 MB
+        tracemalloc.start()
+        try:
+            build_system("E6").dominance_keys
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
 
 
 def reference_dominance_fields(system, w):
