@@ -335,13 +335,6 @@ class CoxeterSystem:
             w0w = left[j][w0w]
         return np.arange(self.order).astype(object)[w0w].tolist()
 
-    @cached_property
-    def canonical_words(self) -> list[tuple[int, ...]]:
-        """Every element's ShortLex-minimal reduced word, in index order;
-        built on first use, one tuple per element.  The library reads words
-        through word() instead."""
-        return [self.word(w) for w in range(self.order)]
-
     # -- basic group operations ----------------------------------------------
 
     def word(self, w: int) -> tuple[int, ...]:
@@ -364,10 +357,6 @@ class CoxeterSystem:
             a = right[s][a]
         return x
 
-    def conj_w0(self, w: int) -> int:
-        """w0 * w * w0, a Dynkin diagram automorphism."""
-        return self.mult(self.mult(self.w0, w), self.w0)
-
     def right_descents(self, w: int) -> frozenset[int]:
         lw = self.lengths[w]
         return frozenset(j for j in range(self.rank) if self.lengths[self.right[j][w]] < lw)
@@ -375,10 +364,6 @@ class CoxeterSystem:
     def left_descents(self, w: int) -> frozenset[int]:
         lw = self.lengths[w]
         return frozenset(j for j in range(self.rank) if self.lengths[self.left[j][w]] < lw)
-
-    def support(self, w: int) -> frozenset[int]:
-        """Generators occurring in a reduced word of w (word independent)."""
-        return frozenset(self.word(w))
 
     def is_boolean(self, w: int) -> bool:
         """True iff some (hence the canonical) reduced word is multiplicity-free,

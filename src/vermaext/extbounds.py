@@ -23,7 +23,7 @@ import numpy as np
 
 from .coxeter import CoxeterSystem
 from .hecke import KLTable
-from .intervals import equiv_classes, pairs_of_keys
+from .intervals import EquivPartition, equiv_classes, pairs_of_keys
 from .poly import BiPoly
 from .rpoly import RTable
 
@@ -200,23 +200,12 @@ class Certificate:
     kind: str
 
 
-def trivial_kl_certificate(kl: KLTable, y: int) -> bool:
+def trivial_kl_certificate(partition: EquivPartition, y: int) -> bool:
     """All p_{y,w} and p_{e,w w0} trivial for w >= y: every tilting summand in
     sight has the expected position and a simple socle, so nothing off the
-    edge can occur for any x >= y.  The answer depends on y alone and is
-    kept in kl.trivial_certificates.
-    """
-    hit = kl.trivial_certificates.get(y)
-    if hit is None:
-        sy = kl.system
-        w0_times = sy.w0_times
-        # w >= y is y itself or longer, so it does not precede y in index order
-        hit = kl.trivial_certificates[y] = all(
-            kl.is_trivial(y, w) and kl.is_trivial(0, w0_times[w])
-            for w in range(y, sy.order)
-            if sy.bruhat_leq(y, w)
-        )
-    return hit
+    edge can occur for any x >= y.  The answer depends on y alone; it is
+    partition.trivial_kl[y], read off the Bruhat graph, not off KL values."""
+    return bool(partition.trivial_kl[y])
 
 
 def r_determined(
@@ -224,16 +213,15 @@ def r_determined(
     x: int,
     y: int,
     *,
-    kl: KLTable,
-    partition,
+    partition: EquivPartition,
 ) -> Certificate | None:
     """Certificate that every graded extension of the pair is the
     expected-edge dimension given by the R-coefficients; None when no clause
-    applies.  Every clause is tried on every call, so both ``kl`` and
-    ``partition`` (the descent equivalence partition) are required.  The
-    clauses that hold for a whole descent class come first: rank at most 2;
-    length gap at most 3; a boolean or coboolean member in the pair's class;
-    the proven type A3 statement.  Trivial KL data above y comes last.
+    applies.  Every clause is tried on every call and reads only the group
+    and ``partition`` (the descent equivalence partition), which is required.
+    The clauses that hold for a whole descent class come first: rank at most
+    2; length gap at most 3; a boolean or coboolean member in the pair's
+    class; the proven type A3 statement.  Trivial KL data above y comes last.
     """
     d = system.pair_gap(x, y, "r_determined")
     if system.rank <= 2:
@@ -244,7 +232,7 @@ def r_determined(
         return Certificate(BOOLEAN)
     if system.type_label == "A3":
         return Certificate(TYPE_A3_THEOREM)
-    if trivial_kl_certificate(kl, y):
+    if trivial_kl_certificate(partition, y):
         return Certificate(TRIVIAL_KL)
     return None
 
@@ -314,30 +302,26 @@ def all_expected_predicate(system: CoxeterSystem) -> AllExpectedReport:
     is a proof only where a certificate clause is itself a proof (it is, for
     every clause used here); sign consistency alone is only necessary.
 
-    The scan builds its own KL and R tables and descent partition, so every
-    caller runs the same computation.  Work is done once per descent class:
-    a move shortening both coordinates on one side keeps r_{x,y}
-    (Bjorner-Brenti, Combinatorics of Coxeter Groups, Ch. 5) and the length
-    gap, so the sign rule and r_determined are read off least pairs and
-    gathered to pairs by class id.  A class counts as certified when its
+    The scan builds its own R table and descent partition, and no KL table,
+    so every caller runs the same computation.  Work is done once per
+    descent class: a move shortening both coordinates on one side keeps
+    r_{x,y} (Bjorner-Brenti, Combinatorics of Coxeter Groups, Ch. 5) and the
+    length gap, so the sign rule and r_determined are read off least pairs
+    and gathered to pairs by class id.  A class counts as certified when its
     least pair's certificate is a class-level one; trivial KL depends on y
-    alone, so it is asked once per y of the other classes.  The uncertified
-    pairs are cut from the partition's sorted pair keys and stay keys.
+    alone, so the pairs of the other classes are filtered by one gather of
+    the partition's trivial_kl.  The uncertified pairs are cut from the
+    partition's sorted pair keys and stay keys.
     """
-    rt, kl = RTable(system), KLTable(system)
+    rt = RTable(system)
     part = equiv_classes(system)
     least = part.pairs_at(part.least)
     signs = [rt.sign_compatibility(x, y) for x, y in least]
-    certs = [r_determined(system, x, y, kl=kl, partition=part) for x, y in least]
+    certs = [r_determined(system, x, y, partition=part) for x, y in least]
     certified = np.array([cert is not None and cert.kind != TRIVIAL_KL for cert in certs])
     bad = np.flatnonzero(np.array([bool(s) for s in signs])[part.cids])
     violations = [(x, y, list(signs[cid]))
                   for (x, y), cid in zip(part.pairs_at(bad), part.cids[bad].tolist())]
-    # The pairs of uncertified classes, and trivial KL once per y among them
-    bare = np.flatnonzero(~certified[part.cids])
-    ys = part.keys[bare] % system.order
-    trivial = np.zeros(system.order, bool)
-    trivial[ys] = True
-    asked = np.flatnonzero(trivial)
-    trivial[asked] = [trivial_kl_certificate(kl, y) for y in asked.tolist()]
-    return AllExpectedReport(system, violations, part.keys[bare[~trivial[ys]]], len(part.keys))
+    bare = part.keys[~certified[part.cids]]
+    bare = bare[~part.trivial_kl[bare % system.order]]
+    return AllExpectedReport(system, violations, bare, len(part.keys))

@@ -101,7 +101,9 @@ class KLTable:
     coefficient is at most 2^l(w0) < 2^B.  A finished row stores its values
     through PackedPolys.intern, so the table holds one int object per
     distinct value.  HeckeElement and mult_by_gen stay on LaurentPoly on
-    purpose, as the independent route to b_y.
+    purpose, as the independent route to b_y.  The certificates read no KL
+    value (the trivial-KL clause is read off the Bruhat graph), so a table
+    serves the bounds, the CLI tables and the checks that compare the two.
     """
 
     def __init__(self, system: CoxeterSystem):
@@ -109,8 +111,6 @@ class KLTable:
         self._values = PackedPolys(system.lengths[system.w0] + 1,
                                    lambda digits: LaurentPoly(enumerate(digits)))
         self._basis: dict[int, dict[int, int]] = {0: {0: 1}}
-        # extbounds.trivial_kl_certificate's answer per y, filled on request.
-        self.trivial_certificates: dict[int, bool] = {}
 
     def _row(self, y: int) -> dict[int, int]:
         """b_y with packed coefficients."""

@@ -132,6 +132,39 @@ class EquivPartition:
         hit[self.cids[boolean[x] | coboolean[y]]] = True
         return hit
 
+    @functools.cached_property
+    def trivial_kl(self) -> np.ndarray:
+        """trivial_kl[y]: whether p_{y,w} and p_{e,w0 w} are trivial for
+        every w >= y, read off the Bruhat graph on first use.
+
+        Every u <= w has at least l(w) reflections t with ut <= w (Deodhar),
+        and in a Weyl group p_{y,w} is trivial iff every u in [y, w] has
+        exactly l(w) (Carrell-Peterson, Proc. Sympos. Pure Math. 56, 1994,
+        with KL monotonicity, Braden-MacPherson, Math. Ann. 321, 2001).  So
+        mark the pairs u <= w with more: some p_{y,w} is nontrivial iff y
+        lies below a marked u, and some p_{e,v} with v <= w0 y iff a marked
+        w lies below w0 y.  The build holds four order x order byte arrays.
+        """
+        sy = self.system
+        below = np.stack(list(map(sy._downset_bits, range(sy.order)))).view(bool)
+        above = np.ascontiguousarray(below.T)
+        # Right multiplication by each reflection t, keyed by e * t; the
+        # conjugate s t s acts as s, then t, then s.
+        reflections, todo = {}, list(sy._perms)
+        while todo:
+            t = todo.pop()
+            if int(t[0]) not in reflections:
+                reflections[int(t[0])] = t
+                todo += [s[t[s]] for s in sy._perms]
+        count = np.zeros(below.shape, np.uint8)  # at most l(w0) < 256 reflections
+        for perm in reflections.values():
+            count += above[perm]
+        marked = count > np.array(sy.lengths, np.uint8)
+        del count
+        marked &= above
+        return ~(below.any(0, where=marked.any(1)[:, None])
+                 | above.any(0, where=marked.any(0)[:, None])[sy.w0_times])
+
 
 def equiv_classes(system: CoxeterSystem) -> EquivPartition:
     return EquivPartition(system)

@@ -248,9 +248,6 @@ class BiPoly(Terms):
     def coeff(self, u_exp: int, v_exp: int) -> int:
         return self._terms.get((u_exp, v_exp), 0)
 
-    def swap_vars(self) -> "BiPoly":
-        return self._new({(b, a): c for (a, b), c in self._terms.items()})
-
     def total_degrees(self) -> set[int]:
         return {a + b for (a, b) in self._terms}
 

@@ -279,12 +279,11 @@ def suite_typea_s6() -> SuiteResult:
         rec for w in range(s4.order) for rec in predict_ext1(s4, w) if not rec.expected
     ]
     res.expect_equal("no additional-flag records in S4", additional, [])
-    kl4 = KLTable(s4)
     part4 = equiv_classes(s4)
     uncovered = [
         (x, y)
         for x, y in s4.comparable_pairs()
-        if r_determined(s4, x, y, kl=kl4, partition=part4) is None
+        if r_determined(s4, x, y, partition=part4) is None
     ]
     res.expect_equal("every S4 pair carries a determination certificate", uncovered, [])
     return res

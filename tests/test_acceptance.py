@@ -13,7 +13,6 @@ from vermaext import refdata
 from vermaext.cli import run as cli_run
 from vermaext.coxeter import CapExceededError, DEFAULT_CAP, build_system, expected_order
 from vermaext.extbounds import all_expected_predicate, r_determined
-from vermaext.hecke import KLTable
 from vermaext.intervals import equiv_classes
 from vermaext.rpoly import RTable
 from vermaext.typea import predict_ext1
@@ -99,10 +98,9 @@ def test_criterion_10_typea_predictor():
         result = suite_typea_s6()
         # certificate coverage of every S4 pair, asserted directly as well
         s4 = build_system("A3")
-        kl = KLTable(s4)
         part = equiv_classes(s4)
         for x, y in s4.comparable_pairs():
-            assert r_determined(s4, x, y, kl=kl, partition=part) is not None
+            assert r_determined(s4, x, y, partition=part) is not None
         # and no additional-flag record anywhere in S4
         for w in range(s4.order):
             assert all(rec.expected for rec in predict_ext1(s4, w))

@@ -4,7 +4,6 @@ import random
 import numpy as np
 import pytest
 
-from vermaext import extbounds
 from vermaext.coxeter import CoxeterSystem, build_system
 from vermaext.extbounds import (
     BOOLEAN,
@@ -12,7 +11,6 @@ from vermaext.extbounds import (
     SMALL_LENGTH_GAP,
     TRIVIAL_KL,
     TYPE_A3_THEOREM,
-    Certificate,
     all_expected_predicate,
     expected_dims,
     hom_grid,
@@ -71,8 +69,7 @@ def test_incomparable_pair_message(name, a3, kl3, rt3):
         "triangle_region": lambda: triangle_region(a3, 0, a3.w0),
         "refined_bound": lambda: refined_bound(kl3, 0, a3.w0, 1, 0),
         "expected_dims": lambda: expected_dims(rt3, 0, a3.w0),
-        "r_determined": lambda: r_determined(a3, 0, a3.w0, kl=kl3,
-                                             partition=equiv_classes(a3)),
+        "r_determined": lambda: r_determined(a3, 0, a3.w0, partition=equiv_classes(a3)),
         "r_coeff_list": lambda: rt3.r_coeff_list(0, a3.w0),
         "sign_compatibility": lambda: rt3.sign_compatibility(0, a3.w0),
     }
@@ -153,13 +150,10 @@ class TestKLBound:
                 if not a3.bruhat_leq(x, y):
                     continue
                 lhs = kl_bound_poly(kl3, x, y)
-                swapped = kl_bound_poly(
-                    kl3, a3.mult(y, a3.w0), a3.mult(x, a3.w0)
-                ).swap_vars()
-                assert lhs == swapped
-                conj = kl_bound_poly(
-                    kl3, a3.conj_w0(a3.inverse[x]), a3.conj_w0(a3.inverse[y])
-                )
+                swapped = kl_bound_poly(kl3, a3.mult(y, a3.w0), a3.mult(x, a3.w0))
+                assert lhs == BiPoly({(b, a): c for (a, b), c in swapped.items()})
+                w0_conj = [a3.mult(w0w, a3.w0) for w0w in a3.w0_times]
+                conj = kl_bound_poly(kl3, w0_conj[a3.inverse[x]], w0_conj[a3.inverse[y]])
                 assert lhs == conj
 
     @pytest.mark.parametrize("label,sample", [("A3", None), ("B3", None), ("D4", 400),
@@ -302,56 +296,58 @@ class TestExpectedDims:
 class TestCertificates:
     def test_rank2(self):
         a2 = build_system("A2")
-        kl, part = KLTable(a2), equiv_classes(a2)
+        part = equiv_classes(a2)
         for x, y in a2.comparable_pairs():
-            assert r_determined(a2, x, y, kl=kl, partition=part).kind == RANK2
+            assert r_determined(a2, x, y, partition=part).kind == RANK2
 
-    def test_small_gap(self, a3, kl3):
+    def test_small_gap(self, a3):
         x = a3.element("r*s*t")
-        assert r_determined(a3, x, 0, kl=kl3, partition=equiv_classes(a3)).kind == SMALL_LENGTH_GAP
+        assert r_determined(a3, x, 0, partition=equiv_classes(a3)).kind == SMALL_LENGTH_GAP
 
     def test_trivial_kl_clause(self):
         b3 = build_system("B3")
-        kl = KLTable(b3)
         # the antidominant end always satisfies the trivial-KL condition
-        cert = r_determined(b3, b3.w0, b3.w0, kl=kl, partition=equiv_classes(b3))
+        cert = r_determined(b3, b3.w0, b3.w0, partition=equiv_classes(b3))
         assert cert is not None
 
-    @pytest.mark.parametrize("label", ["A3", "B3"])
-    def test_trivial_kl_reused_table_matches_fresh(self, label):
+    @pytest.mark.parametrize("label", ["A1", "A2", "G2", "A3", "B3", "A4", "D4", "B4"])
+    def test_trivial_kl_matches_kl_table(self, label):
+        # the Bruhat-graph array against the KL values it stands for
         sy = build_system(label)
-        shared = KLTable(sy)
-        for y in range(sy.order):
-            first = trivial_kl_certificate(shared, y)
-            assert trivial_kl_certificate(shared, y) == first
-            assert trivial_kl_certificate(KLTable(sy), y) == first
-        assert len(shared.trivial_certificates) == sy.order
+        kl = KLTable(sy)
+        w0_times = sy.w0_times
+        want = [all(kl.is_trivial(y, w) and kl.is_trivial(0, w0_times[w])
+                    for w in range(y, sy.order) if sy.bruhat_leq(y, w))
+                for y in range(sy.order)]
+        got = equiv_classes(sy).trivial_kl
+        assert got.dtype == bool and got.tolist() == want
+        assert [trivial_kl_certificate(equiv_classes(sy), y) for y in range(sy.order)] == want
+        if sy.order >= 24:
+            assert True in want and False in want
 
     def test_boolean_clause_fires_in_d4(self):
         # a multiplicity-free product of all four generators: length 4, so
         # the small-gap clause is out, and the trivial-KL clause fails at e
         d4 = build_system("D4")
-        kl = KLTable(d4)
         part = equiv_classes(d4)
         w = d4.element("s1*s2*s3*s4")
         assert d4.is_boolean(w) and d4.lengths[w] == 4
-        cert = r_determined(d4, w, 0, kl=kl, partition=part)
+        cert = r_determined(d4, w, 0, partition=part)
         assert cert.kind == BOOLEAN
 
-    def test_theorem_clause_covers_long_pairs(self, a3, kl3):
+    def test_theorem_clause_covers_long_pairs(self, a3):
         part = equiv_classes(a3)
-        cert = r_determined(a3, a3.w0, 0, kl=kl3, partition=part)
+        cert = r_determined(a3, a3.w0, 0, partition=part)
         assert cert.kind == TYPE_A3_THEOREM
 
     def test_d4_top_pair_unknown(self):
         d4 = build_system("D4")
-        kl = KLTable(d4)
         part = equiv_classes(d4)
-        assert r_determined(d4, d4.w0, 0, kl=kl, partition=part) is None
+        assert r_determined(d4, d4.w0, 0, partition=part) is None
 
-    def test_requires_comparable(self, a3, kl3):
+    def test_requires_comparable(self, a3):
         with pytest.raises(ValueError):
-            r_determined(a3, 0, a3.w0, kl=kl3, partition=equiv_classes(a3))
+            r_determined(a3, 0, a3.w0, partition=equiv_classes(a3))
 
     def test_requires_partition(self):
         # without a partition the Boolean clause could not be tried, so the
@@ -359,24 +355,16 @@ class TestCertificates:
         d4 = build_system("D4")
         w = d4.element("s1*s2*s3*s4")
         with pytest.raises(TypeError):
-            r_determined(d4, w, 0, kl=KLTable(d4))
-
-    def test_requires_kl(self):
-        # without KL data the trivial-KL clause could not be tried, so the
-        # call is refused rather than answered with a weaker certificate
-        d4 = build_system("D4")
-        w = d4.element("s1*s2*s3*s4")
-        with pytest.raises(TypeError):
-            r_determined(d4, w, 0, partition=equiv_classes(d4))
+            r_determined(d4, w, 0)
 
     @pytest.mark.parametrize("label", ["A3", "B3", "D4"])
     def test_class_level_clauses_come_first(self, label):
         # trivial KL is the last clause: it is named only where no
         # class-level clause (Boolean member, type A3) holds
         sy = build_system(label)
-        kl, part = KLTable(sy), equiv_classes(sy)
+        part = equiv_classes(sy)
         for x, y in sy.comparable_pairs():
-            cert = r_determined(sy, x, y, kl=kl, partition=part)
+            cert = r_determined(sy, x, y, partition=part)
             if cert is not None and cert.kind == TRIVIAL_KL:
                 assert not part.boolean_member(x, y)
                 assert sy.type_label != "A3"
@@ -405,26 +393,17 @@ class TestAllExpected:
         all_expected_predicate(d4)
         assert 0 < len(counted) <= 2 * len(part.pairs)
 
-    def test_trivial_kl_asked_once_per_least_pair_and_y(self, monkeypatch):
-        # inside r_determined the predicate asks trivial_kl_certificate once
-        # for the least pair of every class with no class-level certificate
-        # (rank 2, small gap, Boolean, type A3); on those classes it asks
-        # once more for each distinct y among their pairs
-        b3 = build_system("B3")
-        part, kl = equiv_classes(b3), KLTable(b3)
-        bare = [members for members in part.classes
-                if r_determined(b3, *members[0], kl=kl, partition=part)
-                in (None, Certificate(TRIVIAL_KL))]
-        calls = []
-        original = extbounds.trivial_kl_certificate
-        monkeypatch.setattr(
-            extbounds, "trivial_kl_certificate",
-            lambda kl, y: calls.append(y) or original(kl, y),
-        )
-        all_expected_predicate(b3)
-        ys = {y for members in bare for _, y in members}
-        assert len(bare) == 46 and len(ys) == 32
-        assert len(calls) == len(bare) + len(ys) == 78
+    def test_scan_builds_no_kl_table(self, monkeypatch):
+        # every certificate reads only the group and the partition
+        def refuse(self, system):
+            raise AssertionError("the scan built a KL table")
+
+        monkeypatch.setattr(KLTable, "__init__", refuse)
+        b3, d4 = build_system("B3"), build_system("D4")
+        assert len(all_expected_predicate(b3).uncertified_keys) == 272
+        assert not all_expected_predicate(d4).verdict
+        cert = r_determined(b3, b3.w0, b3.w0, partition=equiv_classes(b3))
+        assert cert is not None
 
     @pytest.mark.parametrize("label", ["A3", "B3", "D4", "B4"])
     def test_class_scan_matches_every_pair(self, label):
@@ -433,14 +412,14 @@ class TestAllExpected:
         # with fresh tables and a fresh partition
         sy = build_system(label)
         report = all_expected_predicate(sy)
-        rt, kl = RTable(sy), KLTable(sy)
+        rt = RTable(sy)
         own = equiv_classes(sy)
         violations, uncertified = [], []
         for x, y in sy.comparable_pairs():
             bad = rt.sign_compatibility(x, y)
             if bad:
                 violations.append((x, y, bad))
-            if r_determined(sy, x, y, kl=kl, partition=own) is None:
+            if r_determined(sy, x, y, partition=own) is None:
                 uncertified.append((x, y))
         assert report.sign_violations == violations
         assert report.uncertified == uncertified
