@@ -431,8 +431,15 @@ class CoxeterSystem:
         return self.lengths[x] - self.lengths[y]
 
     def comparable_pairs(self):
-        """All ordered pairs (x, y) with x >= y, sorted by index."""
-        return [(x, y) for x in range(self.order) for y in self.bruhat_downset(x)]
+        """All ordered pairs (x, y) with x >= y, sorted by index.  The pairs
+        share one int object per element: each downset row is gathered
+        through one object array, where tolist() on an int array would make
+        an int per entry."""
+        elements = np.arange(self.order).astype(object)
+        pairs = []
+        for x in elements.tolist():
+            pairs += zip(repeat(x), elements[np.flatnonzero(self._downset_bits(x))].tolist())
+        return pairs
 
     # -- parabolic data ----------------------------------------------------------
 

@@ -91,7 +91,8 @@ class KLTable:
     {x: p_{x,y}}; entries are computed by the standard induction on length
     (multiply b_{ys} by b_s, subtract mu-corrections) using the
     lowest-numbered right descent, so results are deterministic.  An entry
-    never changes once computed.
+    never changes once computed.  kl_poly lifts x through the descents of y
+    first, so a point query builds a row only when it needs one.
 
     Rows are {x: int} with p_{x,y} a PackedPolys int in v with B = l(w0) + 1
     bits per coefficient, so multiplying by v or v^-1 is << B or >> B; the
@@ -161,8 +162,32 @@ class KLTable:
         return {x: poly(p) for x, p in self._row(y).items()}
 
     def kl_poly(self, x: int, y: int) -> LaurentPoly:
-        """p_{x,y}; zero unless x <= y, with p_{x,x} = 1."""
-        return self._values.poly(self._row(y).get(x, 0))
+        """p_{x,y}; zero unless x <= y, with p_{x,x} = 1.
+
+        x is first lifted to the top x* of W_I x W_J, with I and J the left
+        and right descents of y: for a descent s of y with xs > x,
+        p_{x,y} = v p_{xs,y}, and x <= y iff xs <= y (the same on the
+        left).  So p_{x,y} = v^k p_{x*,y} with k = l(x*) - l(x), which is
+        v^k when x* = y and 0 unless x* <= y; only otherwise is the row of
+        y read, or built.
+        """
+        sy = self.system
+        lengths = sy.lengths
+        ly = lengths[y]
+        moves = [t for t in (*sy.right, *sy.left) if lengths[t[y]] < ly]
+        top, k, lifted = x, 0, True
+        while lifted:
+            lifted = False
+            for t in moves:
+                up = t[top]
+                if lengths[up] > lengths[top]:
+                    top, k, lifted = up, k + 1, True
+        shift = self._values.bits * k
+        if top == y:
+            return self._values.poly(1 << shift)
+        if not sy.bruhat_leq(top, y):
+            return self._values.poly(0)
+        return self._values.poly(self._row(y)[top] << shift)
 
     def nontrivial_from(self, x: int) -> list[tuple[int, LaurentPoly]]:
         """All y >= x whose p_{x,y} is not the single monomial v^(l(y)-l(x))."""

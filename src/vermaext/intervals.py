@@ -34,11 +34,15 @@ class EquivPartition:
 
     keys holds every comparable pair as x * order + y, sorted, read off the
     Bruhat rows; position i in keys is pair i.  Each simultaneous descent
-    sends a pair to one of smaller key, found by searchsorted; the edges
-    are kept as int32 positions, so a group of 2^31 pairs or more raises
-    ValueError.  The components come from hooking each tree's root to the
-    least root it meets along an edge, then pointer jumping, so the root of
-    a component is its least pair.  cids[i] is the class id of pair i, the rank of its
+    sends a pair to one of smaller key, found by searchsorted.  The moves
+    are taken one at a time and no edge outlives its move: parent is kept
+    fully jumped, so the ends of an edge read their roots directly, and each
+    round hooks the larger root of every edge that still joins two roots to
+    the smaller, jumps the hooked roots to the new roots and then every pair
+    once, until every edge of the move joins one root.  parent[k] <= k
+    throughout, so the root of a component is its least pair.  Pair
+    coordinates and parents are int32, so a group of 2^31 pairs or more
+    raises ValueError.  cids[i] is the class id of pair i, the rank of its
     class's least pair, and least[c] is the position of class c's least
     pair.  pairs and classes are tuple views built on first use; members
     are in pair order.
@@ -49,34 +53,34 @@ class EquivPartition:
         order = system.order
         rows = np.frombuffer(b"".join(map(system._downset_row, range(order))), np.uint8)
         bits = np.unpackbits(rows.reshape(order, -1), axis=1, count=order, bitorder="little")
+        del rows
         self.keys = keys = np.flatnonzero(bits)
+        del bits
         if len(keys) >= 2**31:
-            raise ValueError("%d comparable pairs: too many for int32 edge positions"
-                             % len(keys))
-        x, y = np.divmod(keys, order)
+            raise ValueError("%d comparable pairs: too many for int32 positions" % len(keys))
+        x, y = (a.astype(np.int32) for a in np.divmod(keys, order))
         lengths = np.array(system.lengths)
-        parent = np.arange(len(keys))
-        src, dst = [], []
+        parent = np.arange(len(keys), dtype=np.int32)
         for move in (*system._perms, *np.array(system.left)):
             shorter = lengths[move] < lengths
             i = np.flatnonzero(shorter[x] & shorter[y]).astype(np.int32)
             j = np.searchsorted(keys, move[x[i]] * order + move[y[i]]).astype(np.int32)
-            # i holds each pair once, so one move's edges need no .at
-            parent[i] = np.minimum(parent[i], j)
-            src.append(i)
-            dst.append(j)
-        src, dst = np.concatenate(src), np.concatenate(dst)
-        while True:
-            # parent[i] <= i everywhere, so jumping ends at the roots
-            while not np.array_equal(up := parent[parent], parent):
-                parent = up
-            a, b = parent[src], parent[dst]
-            split = a != b
-            if not split.any():
-                break
-            src, dst, a, b = src[split], dst[split], a[split], b[split]
-            np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
-        self.least = np.flatnonzero(parent == np.arange(len(keys)))
+            while True:
+                a, b = parent[i], parent[j]
+                split = a != b
+                if not split.any():
+                    break
+                i, j, a, b = i[split], j[split], a[split], b[split]
+                hooked = np.maximum(a, b)
+                np.minimum.at(parent, hooked, np.minimum(a, b))
+                # Only the hooked roots moved, each to a smaller old root:
+                # jump them to the new roots, then every pair in one gather.
+                root = parent[hooked]
+                while not np.array_equal(up := parent[root], root):
+                    root = up
+                parent[hooked] = root
+                parent = parent[parent]
+        self.least = np.flatnonzero(parent == np.arange(len(keys), dtype=np.int32))
         cid_of_root = np.zeros(len(keys), np.intp)
         cid_of_root[self.least] = np.arange(len(self.least))
         self.cids = cid_of_root[parent]

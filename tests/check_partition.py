@@ -16,7 +16,7 @@ from test_intervals import _bfs_classes
 from vermaext.coxeter import build_system
 from vermaext.intervals import equiv_classes
 
-LARGE = ("F4", "D5")
+LARGE = ("F4", "D5", "B5")
 
 
 def main(labels):

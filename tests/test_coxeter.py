@@ -421,6 +421,21 @@ class TestBruhat:
     def test_comparable_pair_counts(self, label, pairs):
         assert len(build_system(label).comparable_pairs()) == pairs
 
+    def test_comparable_pairs_share_element_ints(self):
+        # one int object per element across all pairs, so a pair costs its
+        # tuple and list slot, about 64 bytes; a fresh int per y took about 80
+        sy = build_system("F4")
+        for y in range(sy.order):
+            sy._downset_row(y)
+        tracemalloc.start()
+        try:
+            pairs = sy.comparable_pairs()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(pairs) < 70
+        assert len({id(y) for _, y in pairs}) <= sy.order
+
     def test_rows_built_lazily(self):
         sy = build_system("F4")
         y = sy.w0

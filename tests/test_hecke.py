@@ -137,6 +137,30 @@ class TestInvariants:
                 assert p == kl.kl_poly(sy.inverse[x], sy.inverse[y])
                 assert p == kl.kl_poly(w0_conj[x], w0_conj[y])
 
+    @pytest.mark.parametrize("label", ["A3", "B3", "D4", "B4"])
+    def test_lifted_kl_poly_matches_row(self, label):
+        # kl_poly lifts x through the descents of y before it reads a row;
+        # kl_basis_element reads the row itself, which holds p_{x,y} at
+        # every x <= y and nothing else
+        sy = build_system(label)
+        kl = KLTable(sy)
+        kl.fill_all()
+        zero = LaurentPoly()
+        for y in range(sy.order):
+            row = kl.kl_basis_element(y)
+            for x in range(sy.order):
+                assert kl.kl_poly(x, y) == row.get(x, zero), (x, y)
+
+    def test_e6_lift_builds_no_row(self):
+        # x lifts to y itself: p_{e,w0} = v^l(w0) and p_{s1 w0,w0} = v, read
+        # off without the row of w0, whose induction fills most of the table
+        sy = build_system("E6")
+        kl = KLTable(sy)
+        assert kl.kl_poly(0, sy.w0) == lp({36: 1})
+        assert kl.kl_poly(sy.mult(sy.element("s1"), sy.w0), sy.w0) == lp({1: 1})
+        assert kl.kl_poly(sy.w0, sy.element("s1")) == LaurentPoly()
+        assert list(kl._basis) == [0]
+
     def test_b4_matches_hecke_route(self):
         # b_u b_s = b_y + sum over z < u with zs < z of mu(z, u) b_z, with u = ys,
         # in HeckeElement arithmetic only; s is the highest right descent of y,

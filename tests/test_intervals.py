@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from vermaext import intervals
@@ -110,6 +112,23 @@ def test_partition_matches_bfs_closure(label):
     classes, class_id = _bfs_classes(system)
     assert part.classes == classes
     assert dict(zip(part.pairs, part.cids)) == class_id
+
+
+@pytest.mark.parametrize("label", ["B4", "F4"])
+def test_partition_traced_peak_per_pair(label):
+    # the edges are hooked one move at a time and none is kept, so the peak
+    # is about 37 bytes a pair, 16 of them the kept keys and class ids; the
+    # whole edge list held at once took about 110
+    system = build_system(label)
+    for y in range(system.order):
+        system._downset_row(y)
+    tracemalloc.start()
+    try:
+        part = equiv_classes(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(part.keys) < 64
 
 
 @pytest.mark.parametrize("label", ["B3", "D4"])
